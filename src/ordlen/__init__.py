@@ -23,9 +23,7 @@ from .monomial import (
     ideal_sum,
     maximal_ideal,
     prime_ideal,
-    restrict_to_prime,
     saturation,
-    torsion_box_monomials,
     unit_ideal,
     zero_ideal,
 )

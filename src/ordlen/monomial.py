@@ -8,8 +8,8 @@ structural.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable
 
 from .chow import PrimeSupport
@@ -126,14 +126,6 @@ class MonomialIdeal:
         return len(self.gens) == 1 and self.gens[0].is_one
 
     @property
-    def support(self) -> frozenset[int]:
-        """Union of the supports of the generators."""
-        out: set[int] = set()
-        for g in self.gens:
-            out |= g.support
-        return frozenset(out)
-
-    @property
     def max_degree(self) -> int:
         return max((g.degree for g in self.gens), default=0)
 
@@ -191,13 +183,13 @@ def ideal_power(i: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def colon(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    """(i : j); the colon by the zero ideal is the unit ideal."""
+    """(i : j), the intersection of (i : g) over the generators g of j;
+    the colon by the zero ideal is the unit ideal."""
     _check_ring(i, j)
-    out = unit_ideal(i.ambient_n)
-    for g in j.gens:
-        step = MonomialIdeal.make(i.ambient_n, [f.quotient_by(g) for f in i.gens])
-        out = ideal_intersection(out, step)
-    return out
+    if j.is_zero:
+        return unit_ideal(i.ambient_n)
+    steps = (MonomialIdeal.make(i.ambient_n, [f.quotient_by(g) for f in i.gens]) for g in j.gens)
+    return reduce(ideal_intersection, steps)
 
 
 def saturation(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -208,38 +200,6 @@ def saturation(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
         if nxt == cur:
             return cur
         cur = nxt
-
-
-def restrict_to_prime(i: MonomialIdeal, p: PrimeSupport) -> MonomialIdeal:
-    """Image of i under x_j -> 1 for j outside p, in the subring on p's variables.
-
-    The result lives in a polynomial ring on len(p.vars) variables, ordered
-    by ascending original index; it models localization at the prime.
-    """
-    if i.ambient_n != p.ambient_n:
-        raise AmbientMismatchError("prime over a different ring")
-    keep = sorted(p.vars)
-    gens = [tuple(g.exponents[v] for v in keep) for g in i.gens]
-    return MonomialIdeal.make(len(keep), gens)
-
-
-def torsion_box_monomials(i: MonomialIdeal) -> frozenset[Monomial]:
-    """Monomial basis of the torsion at the irrelevant maximal ideal of R/i.
-
-    Any torsion monomial m (m not in i, m killed by a power of every
-    variable) satisfies exp_v(m) < c_v, where c_v is the top exponent of
-    x_v among the generators of i: pushing an exponent past c_v can never
-    change membership in i.  Enumerating that box suffices.
-    """
-    n = i.ambient_n
-    sat = saturation(i, maximal_ideal(n))
-    bounds = [max((g.exponents[v] for g in i.gens), default=0) for v in range(n)]
-    out = []
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        m = Monomial(exps)
-        if not i.contains(m) and sat.contains(m):
-            out.append(m)
-    return frozenset(out)
 
 
 @dataclass(frozen=True)

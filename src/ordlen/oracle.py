@@ -1,8 +1,9 @@
 """Independent brute-force routes used to validate the main engine.
 
-These deliberately avoid the engine's restriction-to-a-subring step: local
-multiplicities are recomputed in the full ring by contracting through
-saturations, and classical lengths by direct monomial counting.
+These deliberately avoid the engine's standard-pair slice count: local
+multiplicities are recomputed by contracting through saturations and
+scanning an exponent box, and classical lengths by direct monomial
+counting.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .monomial import (
 
 
 def oracle_lcl(m: SubquotientModule, p: PrimeSupport) -> int:
-    """Local multiplicity at p computed without restricting to a subring.
+    """Local multiplicity at p from saturations and a box scan, without standard pairs.
 
     Both ideals are first contracted through localization at p (saturation
     by the product of the outside variables); the p-torsion part is then

@@ -173,19 +173,22 @@ def test_criterion_05_oracle_equivalence(announce, chain_corpus):
     def body():
         start = time.perf_counter()
         artinian_seen = 0
-        for m, _ in chain_corpus:
-            for p in all_primes(m.ambient_n):
-                assert local_multiplicity(m, p) == oracle_lcl(m, p)
-            try:
-                classical = oracle_artinian_length(m)
-            except NotArtinianError:
-                continue
-            artinian_seen += 1
-            assert length(m) == Ordinal.from_int(classical)
+        for m, k in chain_corpus:
+            for piece in (m, m.submodule(k), m.quotient_by(k)):
+                oracle = {p: oracle_lcl(piece, p) for p in all_primes(piece.ambient_n)}
+                for p, expected in oracle.items():
+                    assert local_multiplicity(piece, p) == expected
+                assert associated_primes(piece) == {p for p, c in oracle.items() if c > 0}
+                try:
+                    classical = oracle_artinian_length(piece)
+                except NotArtinianError:
+                    continue
+                artinian_seen += 1
+                assert length(piece) == Ordinal.from_int(classical)
         assert artinian_seen > 0
         assert time.perf_counter() - start < 60.0
 
-    run_criterion(announce, 5, "oracle equivalence on 200 seeded instances", body)
+    run_criterion(announce, 5, "oracle equivalence on 200 chains and their pieces", body)
 
 
 # ------------------------------------------------------------------ 6
@@ -205,6 +208,13 @@ def test_criterion_06_semi_additivity(announce, chain_corpus):
             assert weaker(lower, mu)
             assert weaker(nu, mu)
             assert cycle_leq(fundamental_cycle(n_part), fundamental_cycle(m))
+            direct = mu == lower and mu == shuffle_sum(theta, nu)
+            by_dimension = (
+                n_part.is_zero
+                or q_part.is_zero
+                or basic_invariants(n_part).dimension <= basic_invariants(q_part).order
+            )
+            assert direct == by_dimension == is_strongly_additive(m, k)
 
     run_criterion(announce, 6, "semi-additivity on 200 seeded chains", body)
 

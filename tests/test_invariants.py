@@ -1,7 +1,10 @@
+import io
+
 import pytest
 
 from ordlen.chow import Cycle, prime, zero_cycle
-from ordlen.errors import InvalidSubquotientError, ZeroModuleError
+from ordlen.cli import run_text
+from ordlen.errors import AmbientMismatchError, InvalidSubquotientError, ZeroModuleError
 from ordlen.invariants import (
     associated_primes,
     basic_invariants,
@@ -48,6 +51,10 @@ class TestLocalMultiplicity:
 
     def test_vanishes_off_support(self):
         assert local_multiplicity(M3, prime(3, [2])) == 0
+
+    def test_prime_over_another_ring(self):
+        with pytest.raises(AmbientMismatchError):
+            local_multiplicity(M3, prime(2, [0]))
 
 
 class TestAssociatedPrimes:
@@ -203,3 +210,26 @@ def test_length_of_power_series_style_quotients():
     m = SubquotientModule.quotient_ring(maximal_ideal(2))
     assert length(m) == Ordinal.from_int(1)
     assert length(ring_mod(2, (1, 0))) == Ordinal.omega_power(1)
+
+
+class TestClosedForms:
+    """Inputs far beyond a box scan, checked against counted closed forms."""
+
+    def test_six_variable_staircase(self):
+        # R/(x_i^5, x_1...x_6): the 5^6 monomials of the box minus the
+        # 4^6 multiples of x_1...x_6 inside it
+        m = ring_mod(6, *[tuple(5 if j == i else 0 for j in range(6)) for i in range(6)], (1,) * 6)
+        assert length(m) == Ordinal.from_int(11529)
+
+    def test_large_exponents_through_the_cli(self):
+        out = io.StringIO()
+        assert run_text("ring x,y\nI = x^4000, y^4000\nlen I\n", out=out) == 0
+        assert "16000000" in out.getvalue()
+
+    def test_large_exponents_mixed_dimension(self):
+        # J/I for I = (x^3000, x^2000 y^1000), J = (x^500): the columns
+        # x^a with 500 <= a < 2000 are free in y, and the 1000 x 1000 box
+        # with 2000 <= a < 3000, b < 1000 is finite
+        lower = ideal(2, (3000, 0), (2000, 1000))
+        m = SubquotientModule(lower, ideal(2, (500, 0)))
+        assert length(m) == Ordinal.from_coeffs({1: 1500, 0: 1000000})

@@ -15,9 +15,7 @@ from ordlen.monomial import (
     ideal_sum,
     maximal_ideal,
     prime_ideal,
-    restrict_to_prime,
     saturation,
-    torsion_box_monomials,
     unit_ideal,
     zero_ideal,
 )
@@ -141,51 +139,6 @@ def scale(g, k):
     return Monomial(tuple(k * e for e in g.exponents))
 
 
-class TestRestrictToPrime:
-    def test_basic(self):
-        # setting y = 1 in (x^2, xy) gives (x) in k[x]
-        i = ideal(2, (2, 0), (1, 1))
-        assert restrict_to_prime(i, prime(2, [0])) == ideal(1, (1,))
-
-    def test_localization_oracle(self):
-        # restricted membership == membership after clearing outside variables
-        i = ideal(3, (2, 1, 0), (0, 0, 2), (1, 0, 1))
-        p = prime(3, [0, 2])
-        r = restrict_to_prime(i, p)
-        for m in monomials_up_to(2, 4):
-            # lift (a, c) back to (a, 0, c) and allow any power of y
-            a, c = m.exponents
-            lifted_in = any(i.contains(Monomial((a, b, c))) for b in range(5))
-            assert r.contains(m) == lifted_in
-
-    def test_full_prime_is_identity_on_exponents(self):
-        i = ideal(2, (2, 0), (1, 1))
-        assert restrict_to_prime(i, prime(2, [0, 1])) == i
-
-    def test_empty_prime(self):
-        i = ideal(2, (2, 0), (1, 1))
-        assert restrict_to_prime(i, prime(2, [])) == unit_ideal(0)
-        assert restrict_to_prime(zero_ideal(2), prime(2, [])) == zero_ideal(0)
-
-
-class TestTorsionBox:
-    def test_x2_xy(self):
-        assert torsion_box_monomials(ideal(2, (2, 0), (1, 1))) == {Monomial((1, 0))}
-
-    def test_square_of_maximal(self):
-        box = torsion_box_monomials(ideal_power(maximal_ideal(2), 2))
-        assert box == {Monomial((0, 0)), Monomial((1, 0)), Monomial((0, 1))}
-
-    def test_principal_in_one_variable(self):
-        assert torsion_box_monomials(ideal(1, (1,))) == {Monomial((0,))}
-
-    def test_prime_has_no_torsion(self):
-        assert torsion_box_monomials(ideal(2, (1, 0))) == frozenset()
-
-    def test_zero_ideal_has_no_torsion(self):
-        assert torsion_box_monomials(zero_ideal(2)) == frozenset()
-
-
 class TestSubquotient:
     def test_requires_inclusion(self):
         with pytest.raises(InvalidSubquotientError):
@@ -209,8 +162,6 @@ class TestSubquotient:
             SubquotientModule(zero_ideal(2), unit_ideal(3))
         with pytest.raises(AmbientMismatchError):
             ideal_sum(zero_ideal(2), zero_ideal(3))
-        with pytest.raises(AmbientMismatchError):
-            restrict_to_prime(zero_ideal(2), prime(3, [0]))
 
 
 def test_prime_ideal_roundtrip():
