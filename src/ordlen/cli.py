@@ -33,6 +33,7 @@ from .errors import (
     OrdlenError,
     ResourceCapError,
     SubmoduleSearchError,
+    TooManyVariablesError,
     ZeroModuleError,
 )
 from .monomial import MonomialIdeal, SubquotientModule, unit_ideal
@@ -49,6 +50,10 @@ class ParseError(OrdlenError):
 class SemanticError(OrdlenError):
     pass
 
+
+# Work grows steeply with the variable count, so a ring declared by a script
+# is capped at desk scale (CLI flag --max-vars).
+DEFAULT_MAX_VARS = 16
 
 # ---------------------------------------------------------------- lexer
 
@@ -279,14 +284,11 @@ class Parser:
         return Ref(lower=first, upper=None)
 
     def parse_ordinal(self) -> Ordinal:
-        total = Ordinal()
         terms = [self.parse_ordinal_term()]
         while self.peek().kind == "SYM" and self.peek().value == "+":
             self.next()
             terms.append(self.parse_ordinal_term())
-        for exp, coeff in terms:
-            total = Ordinal.from_coeffs(list(total.terms) + [(exp, coeff)]) if coeff else total
-        return total
+        return Ordinal.from_coeffs(terms)
 
     def parse_ordinal_term(self) -> tuple[int, int]:
         tok = self.peek()
@@ -340,18 +342,6 @@ def render_script(script: Script) -> str:
             return "1"
         return "*".join(n.text if e == 1 else "%s^%d" % (n.text, e) for n, e in mono)
 
-    def ordinal_text(a: Ordinal) -> str:
-        if a.is_zero:
-            return "0"
-        parts = []
-        for exp, coeff in a.terms:
-            if exp == 0:
-                parts.append(str(coeff))
-            else:
-                head = "" if coeff == 1 else str(coeff)
-                parts.append(head + ("w" if exp == 1 else "w^%d" % exp))
-        return " + ".join(parts)
-
     lines = []
     for stmt in script.statements:
         if isinstance(stmt, RingDecl):
@@ -366,7 +356,7 @@ def render_script(script: Script) -> str:
             if stmt.kind == "iopen":
                 lines.append("iopen %d %s" % (stmt.index, refs))
             elif stmt.kind == "submodlen":
-                lines.append("submodlen %s %s" % (refs, ordinal_text(stmt.ordinal)))
+                lines.append("submodlen %s %s" % (refs, stmt.ordinal.display(ascii_only=True)))
             else:
                 lines.append("%s %s" % (stmt.kind, refs))
     return "\n".join(lines) + "\n"
@@ -437,9 +427,13 @@ def cycle_json(c: Cycle, names: list[str]) -> list[dict]:
 
 
 class Runner:
-    def __init__(self, as_json: bool = False, ascii_only: bool = False, out=None):
+    def __init__(
+        self, as_json: bool = False, ascii_only: bool = False, out=None,
+        max_vars: int = DEFAULT_MAX_VARS,
+    ):
         self.as_json = as_json
         self.ascii_only = ascii_only
+        self.max_vars = max_vars
         self.out = out if out is not None else sys.stdout
         self.names: list[str] | None = None
         self.ideals: dict[str, MonomialIdeal] = {}
@@ -469,6 +463,10 @@ class Runner:
         names = [n.text for n in stmt.names]
         if len(set(names)) != len(names):
             raise SemanticError("duplicate variable name in ring declaration")
+        if len(names) > self.max_vars:
+            raise TooManyVariablesError(
+                "%d variables exceeds the cap of %d" % (len(names), self.max_vars)
+            )
         self.names = names
 
     def require_ring(self) -> list[str]:
@@ -617,7 +615,8 @@ class Runner:
 
 
 def run_text(
-    text: str, as_json: bool = False, ascii_only: bool = False, out=None, err=None
+    text: str, as_json: bool = False, ascii_only: bool = False, out=None, err=None,
+    max_vars: int = DEFAULT_MAX_VARS,
 ) -> int:
     """Parse and execute a script; returns the process exit code."""
     err = err if err is not None else sys.stderr
@@ -626,7 +625,7 @@ def run_text(
     except ParseError as exc:
         err.write("%s\n" % exc)
         return 1
-    runner = Runner(as_json=as_json, ascii_only=ascii_only, out=out)
+    runner = Runner(as_json=as_json, ascii_only=ascii_only, out=out, max_vars=max_vars)
     try:
         runner.run(script)
     except (ResourceCapError, SubmoduleSearchError) as exc:
@@ -638,31 +637,23 @@ def run_text(
     return 0
 
 
-def _eval_script(args: argparse.Namespace) -> str:
+def _eval_script(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
+    cmd = args.cmd
+    if _COMMANDS[cmd] == 2 and not args.ideal2:
+        parser.error("--cmd %s needs --ideal2" % cmd)
+    if cmd == "iopen" and args.index is None:
+        parser.error("--cmd iopen needs --index")
+    if cmd == "submodlen" and not args.ordinal:
+        parser.error("--cmd submodlen needs --ordinal")
     lines = ["ring %s" % args.ring, "I = %s" % args.ideal]
     if args.ideal2:
         lines.append("K = %s" % args.ideal2)
-    cmd = args.cmd
-    if cmd in ("len", "cycle", "ass", "filtration"):
-        lines.append("%s I" % cmd)
-    elif cmd in ("open", "closure"):
-        if not args.ideal2:
-            raise SystemExit("command %r needs --ideal2" % cmd)
-        lines.append("%s I K" % cmd)
-    elif cmd == "iopen":
-        if not args.ideal2 or args.index is None:
-            raise SystemExit("iopen needs --ideal2 and --index")
+    if cmd == "iopen":
         lines.append("iopen %d I K" % args.index)
-    elif cmd == "homvanishes":
-        if not args.ideal2:
-            raise SystemExit("homvanishes needs --ideal2")
-        lines.append("homvanishes I K")
     elif cmd == "submodlen":
-        if not args.ordinal:
-            raise SystemExit("submodlen needs --ordinal")
         lines.append("submodlen I %s" % args.ordinal)
     else:
-        raise SystemExit("unknown command %r" % cmd)
+        lines.append("%s I%s" % (cmd, " K" * (_COMMANDS[cmd] - 1)))
     return "\n".join(lines) + "\n"
 
 
@@ -673,9 +664,8 @@ def main(argv: list[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object per command")
     common.add_argument("--ascii", action="store_true", help="ASCII output (w for ω)")
-    common.add_argument("--max-vars", type=int, default=None, help="override the variable cap")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed passthrough for test-instance generation tooling")
+    common.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARS,
+                        help="cap on the variables a ring may declare (default %(default)s)")
 
     p_run = sub.add_parser("run", parents=[common], help="execute a script file")
     p_run.add_argument("script", help="UTF-8 script file")
@@ -684,25 +674,22 @@ def main(argv: list[str] | None = None) -> int:
     p_eval.add_argument("--ring", required=True, help="comma-separated variable names")
     p_eval.add_argument("--ideal", required=True, help="generators of the ideal I")
     p_eval.add_argument("--ideal2", default=None, help="generators of a second ideal K")
-    p_eval.add_argument("--cmd", required=True, help="command to run against I (and K)")
+    p_eval.add_argument("--cmd", required=True, choices=list(_COMMANDS),
+                        help="command to run against I (and K)")
     p_eval.add_argument("--index", type=int, default=None, help="index for iopen")
     p_eval.add_argument("--ordinal", default=None, help="target ordinal for submodlen")
 
     args = parser.parse_args(argv)
-    monomial.set_max_vars(args.max_vars)
-    try:
-        if args.mode == "run":
-            try:
-                with open(args.script, encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError as exc:
-                sys.stderr.write("cannot read script: %s\n" % exc)
-                return 2
-        else:
-            text = _eval_script(args)
-        return run_text(text, as_json=args.json, ascii_only=args.ascii)
-    finally:
-        monomial.set_max_vars(None)
+    if args.mode == "run":
+        try:
+            with open(args.script, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            sys.stderr.write("cannot read script: %s\n" % exc)
+            return 2
+    else:
+        text = _eval_script(args, p_eval)
+    return run_text(text, as_json=args.json, ascii_only=args.ascii, max_vars=args.max_vars)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,8 @@ multiplicity at p copies of omega^dim(p).
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import ordinal as ord_
 from .chow import Cycle, PrimeSupport, binord, zero_cycle
@@ -29,6 +28,7 @@ from .monomial import (
     prime_ideal,
     saturation,
     unit_ideal,
+    variable,
 )
 from .ordinal import Ordinal
 
@@ -168,86 +168,66 @@ def cycle_defect(m: SubquotientModule, inner_upper: MonomialIdeal) -> Cycle:
     return cycle_sub(cycle_add(n_part, q_part), fundamental_cycle(m))
 
 
-def _candidate_monomials(m: SubquotientModule, bound: int) -> list[Monomial]:
-    n = m.ambient_n
-    out = []
-    for exps in itertools.product(range(bound + 1), repeat=n):
-        if sum(exps) <= bound:
-            out.append(Monomial(exps))
-    out.sort(key=Monomial.sort_key)
-    return out
+def _monomials_up_to(n: int, bound: int) -> Iterator[Monomial]:
+    """The monomials of degree at most bound, lazily, in Monomial.sort_key order."""
 
+    def exponents(d: int, k: int) -> Iterator[tuple[int, ...]]:
+        # the k-tuples summing to d, lexicographically decreasing
+        if k == 0:
+            if d == 0:
+                yield ()
+            return
+        for a in range(d, -1, -1):
+            for rest in exponents(d - a, k - 1):
+                yield (a, *rest)
 
-def _prime_multiplies_into(p: PrimeSupport, x: Monomial, k: MonomialIdeal) -> bool:
-    from .monomial import variable
-
-    return all(k.contains(variable(x.n, v).times(x)) for v in p.vars)
+    for d in range(bound + 1):
+        for exps in exponents(d, n):
+            yield Monomial(exps)
 
 
 def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> MonomialIdeal:
     """Find K with I <= K <= J and len(K/I) = nu; nu must be weaker than len(J/I).
 
     Follows the existence proof: peel nu into omega-power steps from the
-    top degree down, at each step adjoining a monomial x outside the
-    current K with p*x inside K for an associated prime p of the step's
-    dimension.  Candidates are scanned in degree-lex order up to a fixed
-    degree bound; failure within the bound is a hard error, never a
-    silent widening of the bound.
+    top degree down, at each step adjoining the first monomial x, in
+    degree-lex order up to a fixed degree bound, with x in J, x outside
+    the current K and p*x inside K for an associated prime p of the step's
+    dimension e, such that len(K + (x)/I) is the running target.
+
+    One pass suffices.  Before the step, nu weaker than len(J/I) gives an
+    associated prime p of dimension e with lcl_p(K/I) < lcl_p(J/I), so some
+    monomial y in J - K is p-torsion in (J/I)_p and nonzero in (J/K)_p.
+    A socle multiple z of y, times a high power of the variables outside
+    p, is a monomial x with K : x = p.  Adjoining x adds R/p to K/I, which
+    raises lcl_p by exactly 1 and no other lcl_q, so the scan meets a
+    witness.  Only the degree bound can hide it; failure within the bound
+    is a hard error, never a silent widening of the bound.
     """
     mu = length(m)
     if not ord_.weaker(nu, mu):
         raise InvalidSubquotientError("target length is not weaker than the module length")
+    n = m.ambient_n
     bound = max(m.lower.max_degree, m.upper.max_degree) + mu.valence
-    cands = _candidate_monomials(m, bound)
     ass = sorted(associated_primes(m), key=PrimeSupport.sort_key)
-
-    steps: list[int] = []
-    for exp, coeff in nu.terms:
-        steps.extend([exp] * coeff)
-
     k = m.lower
     target = ord_.ZERO
-    for exp in steps:
-        target = ord_.shuffle_sum(target, Ordinal.omega_power(exp))
-        k2 = _extend_by_one(m, k, target, exp, cands, ass, maximalized=False)
-        if k2 is None:
-            # retry after saturating k with length-preserving adjunctions,
-            # mirroring the maximality hypothesis of the existence proof
-            k = _maximalize(m, k, cands)
-            k2 = _extend_by_one(m, k, target, exp, cands, ass, maximalized=True)
-        if k2 is None:
-            raise SubmoduleSearchError(
-                "no monomial submodule of length %s found within degree %d (module %r)"
-                % (target, bound, m)
-            )
-        k = k2
-    return k
-
-
-def _extend_by_one(m, k, target, exp, cands, ass, maximalized):
-    dim_primes = [p for p in ass if p.dim == exp]
-    for x in cands:
-        if k.contains(x) or not m.upper.contains(x):
-            continue
-        if not maximalized and not any(_prime_multiplies_into(p, x, k) for p in dim_primes):
-            continue
-        k2 = ideal_sum(k, MonomialIdeal.make(m.ambient_n, [x]))
-        if length(SubquotientModule(m.lower, k2)) == target:
-            return k2
-    return None
-
-
-def _maximalize(m, k, cands):
-    cur = length(SubquotientModule(m.lower, k))
-    changed = True
-    while changed:
-        changed = False
-        for x in cands:
-            if k.contains(x) or not m.upper.contains(x):
-                continue
-            k2 = ideal_sum(k, MonomialIdeal.make(m.ambient_n, [x]))
-            if length(SubquotientModule(m.lower, k2)) == cur:
-                k = k2
-                changed = True
-                break
+    for exp, coeff in nu.terms:
+        primes = [[variable(n, v) for v in sorted(p.vars)] for p in ass if p.dim == exp]
+        for _ in range(coeff):
+            target = ord_.shuffle_sum(target, Ordinal.omega_power(exp))
+            for x in _monomials_up_to(n, bound):
+                if k.contains(x) or not m.upper.contains(x):
+                    continue
+                if not any(all(k.contains(y.times(x)) for y in p) for p in primes):
+                    continue
+                k2 = ideal_sum(k, MonomialIdeal.make(n, [x]))
+                if length(SubquotientModule(m.lower, k2)) == target:
+                    k = k2
+                    break
+            else:
+                raise SubmoduleSearchError(
+                    "no monomial submodule of length %s found within degree %d (module %r)"
+                    % (target, bound, m)
+                )
     return k

@@ -13,25 +13,7 @@ from functools import reduce
 from typing import Iterable
 
 from .chow import PrimeSupport
-from .errors import (
-    AmbientMismatchError,
-    InvalidSubquotientError,
-    TooManyVariablesError,
-)
-
-# Associated-prime search is exponential in the variable count; keep a desk
-# scale default, overridable via set_max_vars (CLI flag --max-vars).
-_DEFAULT_MAX_VARS = 16
-_max_vars = _DEFAULT_MAX_VARS
-
-
-def set_max_vars(n: int | None) -> None:
-    global _max_vars
-    _max_vars = _DEFAULT_MAX_VARS if n is None else n
-
-
-def get_max_vars() -> int:
-    return _max_vars
+from .errors import AmbientMismatchError, InvalidSubquotientError
 
 
 @dataclass(frozen=True)
@@ -104,10 +86,6 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        if self.ambient_n > _max_vars:
-            raise TooManyVariablesError(
-                "%d variables exceeds the cap of %d" % (self.ambient_n, _max_vars)
-            )
         for g in self.gens:
             if g.n != self.ambient_n:
                 raise AmbientMismatchError("generator in wrong ring")
@@ -193,13 +171,18 @@ def colon(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 
 def saturation(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    """(i : j^infinity), the stable value of iterated colons."""
-    cur = i
-    while True:
-        nxt = colon(cur, j)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """(i : j^infinity), the intersection of (i : g^infinity) over the
+    generators g of j, each being i with the exponents on supp(g) set to 0;
+    the saturation by the zero ideal is the unit ideal."""
+    _check_ring(i, j)
+    steps = (
+        MonomialIdeal.make(
+            i.ambient_n,
+            [tuple(0 if e else a for a, e in zip(f.exponents, g.exponents)) for f in i.gens],
+        )
+        for g in j.gens
+    )
+    return reduce(ideal_intersection, steps, unit_ideal(i.ambient_n))
 
 
 @dataclass(frozen=True)

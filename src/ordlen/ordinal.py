@@ -12,9 +12,15 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Ordinal:
-    """An ordinal below omega^omega, canonicalized on construction."""
+    """An ordinal below omega^omega, canonicalized on construction.
+
+    The generated comparisons are the usual total order: the sparse terms,
+    exponents decreasing, compare lexicographically exactly as the
+    ordinals do (at the first differing term the larger exponent or
+    coefficient wins, and a proper prefix is smaller).
+    """
 
     terms: tuple[tuple[int, int], ...] = ()
 
@@ -98,19 +104,6 @@ class Ordinal:
     def __str__(self) -> str:
         return self.display()
 
-    # Total order: lexicographic on Cantor coefficients from the top down.
-    def __lt__(self, other: Ordinal) -> bool:
-        return leq(self, other) and self != other
-
-    def __le__(self, other: Ordinal) -> bool:
-        return leq(self, other)
-
-    def __gt__(self, other: Ordinal) -> bool:
-        return not leq(self, other)
-
-    def __ge__(self, other: Ordinal) -> bool:
-        return not leq(self, other) or self == other
-
 
 ZERO = Ordinal()
 ONE = Ordinal.from_int(1)
@@ -160,14 +153,7 @@ def weaker(a: Ordinal, b: Ordinal) -> bool:
 
 def leq(a: Ordinal, b: Ordinal) -> bool:
     """The usual total order on ordinals, lexicographic on coefficients."""
-    if a == b:
-        return True
-    exps = sorted({e for e, _ in a.terms} | {e for e, _ in b.terms}, reverse=True)
-    for e in exps:
-        ca, cb = a.coeff(e), b.coeff(e)
-        if ca != cb:
-            return ca < cb
-    return True
+    return a <= b
 
 
 def truncate_above(a: Ordinal, i: int) -> Ordinal:

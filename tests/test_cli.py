@@ -218,6 +218,28 @@ class TestMain:
     def test_run_missing_file(self, capsys):
         assert cli.main(["run", "/nonexistent/script.ord"]) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--cmd", "frobnicate"],
+            ["--cmd", "open"],
+            ["--cmd", "iopen", "--ideal2", "x"],
+            ["--cmd", "homvanishes"],
+            ["--cmd", "submodlen"],
+        ],
+    )
+    def test_eval_usage_errors(self, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--ring", "x,y", "--ideal", "x^2"] + extra)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_variable_cap_is_checked_at_the_ring(self):
+        ring = "ring %s\n" % ",".join("x%d" % i for i in range(17))
+        code, out, err = run(ring)
+        assert code == 2 and out == "" and "17 variables exceeds the cap of 16" in err
+        assert run(ring + "I = x0\nlen I\n", max_vars=17)[:2] == (0, "len R/I = ω^16\n")
+
     def test_max_vars_cap(self, capsys):
         code = cli.main(
             ["eval", "--max-vars", "1", "--ring", "x,y", "--ideal", "x", "--cmd", "len"]

@@ -200,6 +200,14 @@ class TestConstructSubmodule:
                 k = construct_submodule_of_length(M3, target)
                 assert length(M3.submodule(k)) == target
 
+    def test_four_variable_cube(self):
+        # R/(x_1^3, ..., x_4^3) has length 81; its socle x_1^2...x_4^2 comes
+        # first in degree-lex order among the witnesses of length 1
+        cube = ring_mod(4, *[tuple(3 if j == i else 0 for j in range(4)) for i in range(4)])
+        k = construct_submodule_of_length(cube, Ordinal.from_int(1))
+        assert k == MonomialIdeal.make(4, cube.lower.gens + ((2, 2, 2, 2),))
+        assert construct_submodule_of_length(cube, length(cube)) == unit_ideal(4)
+
     def test_rejects_non_weaker_target(self):
         with pytest.raises(InvalidSubquotientError):
             construct_submodule_of_length(M3, Ordinal.omega_power(3))

@@ -127,6 +127,18 @@ class TestSaturation:
             )
             assert s.contains(m) == expected
 
+    def test_by_non_prime_ideal(self):
+        # (x^2, xy) has radical (x), so it saturates like x alone
+        i = ideal(3, (2, 1, 0), (1, 0, 2), (0, 3, 1))
+        j = ideal(3, (2, 0, 0), (1, 1, 0))
+        s = saturation(i, j)
+        assert s == ideal(3, (0, 1, 0), (0, 0, 2)) == saturation(i, ideal(3, (1, 0, 0)))
+        for m in monomials_up_to(3, 3):
+            expected = all(
+                any(i.contains(m.times(scale(g, k))) for k in range(7)) for g in j.gens
+            )
+            assert s.contains(m) == expected
+
     def test_saturation_of_saturated_ideal(self):
         i = ideal(2, (1, 0))
         assert saturation(i, maximal_ideal(2)) == i
