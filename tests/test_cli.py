@@ -101,6 +101,39 @@ class TestGoldenJson:
         obj = json.loads(out)
         assert obj["open"] is False and obj["length"] == {"1": 1}
 
+    # one row per command: the raw text line and the raw --json line, so key
+    # order and every byte of the output are pinned
+    PRELUDE = "ring x,y,z\nI = x^2, x*y\nK = x\n"
+    EVERY_COMMAND = [
+        ("len K/I", "len K/I = ω",
+         '{"cmd": "len", "module": "K/I", "length": {"1": 1}, "display": "ω"}'),
+        ("cycle I", "[(x)] + [(x,y)]",
+         '{"cmd": "cycle", "module": "R/I", "cycle": [{"vars": ["x"], "mult": 1}, '
+         '{"vars": ["x", "y"], "mult": 1}]}'),
+        ("ass I", "(x), (x,y)",
+         '{"cmd": "ass", "module": "R/I", "primes": [["x"], ["x", "y"]]}'),
+        ("filtration I", "(x^2, x*y) ⊆ (x) ⊆ (1)",
+         '{"cmd": "filtration", "module": "R/I", "ideals": [["x^2", "x*y"], ["x"], ["1"]]}'),
+        ("open I K", "not open (len = ω)",
+         '{"cmd": "open", "module": "R/I", "submodule": "(x)", "open": false, '
+         '"length": {"1": 1}, "display": "ω"}'),
+        ("iopen 1 I K", "not i-open (len = ω)",
+         '{"cmd": "iopen", "module": "R/I", "i": 1, "submodule": "(x)", "iopen": false, '
+         '"length": {"1": 1}, "display": "ω"}'),
+        ("closure I K", "(x)",
+         '{"cmd": "closure", "module": "R/I", "submodule": "(x)", "ideal": ["x"]}'),
+        ("homvanishes K/I I", "false",
+         '{"cmd": "homvanishes", "source": "K/I", "target": "R/I", "vanishes": false}'),
+        ("submodlen I w^2 + w", "(x, y)",
+         '{"cmd": "submodlen", "module": "R/I", "target": {"2": 1, "1": 1}, '
+         '"ideal": ["x", "y"]}'),
+    ]
+
+    @pytest.mark.parametrize("command,text,json_line", EVERY_COMMAND)
+    def test_every_command_raw_output(self, command, text, json_line):
+        assert run(self.PRELUDE + command + "\n") == (0, text + "\n", "")
+        assert run(self.PRELUDE + command + "\n", as_json=True) == (0, json_line + "\n", "")
+
     def test_every_line_is_json(self):
         code, out, _ = run(EXAMPLE, as_json=True)
         assert code == 0
