@@ -26,16 +26,9 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from . import invariants, monomial, topology
+from . import invariants, topology
 from .chow import Cycle, PrimeSupport
-from .errors import (
-    InvalidSubquotientError,
-    OrdlenError,
-    ResourceCapError,
-    SubmoduleSearchError,
-    TooManyVariablesError,
-    ZeroModuleError,
-)
+from .errors import OrdlenError, ResourceCapError, TooManyVariablesError
 from .monomial import MonomialIdeal, SubquotientModule, unit_ideal
 from .ordinal import Ordinal
 
@@ -58,16 +51,18 @@ DEFAULT_MAX_VARS = 16
 # ---------------------------------------------------------------- lexer
 
 _SYMBOLS = ",=^*/+-"
+# The one place a command's shape is written: its argument kinds in order,
+# "r" a module reference, "i" an integer (possibly negative), "o" an ordinal.
 _COMMANDS = {
-    "len": 1,
-    "cycle": 1,
-    "ass": 1,
-    "filtration": 1,
-    "open": 2,
-    "iopen": 2,
-    "closure": 2,
-    "homvanishes": 2,
-    "submodlen": 1,
+    "len": "r",
+    "cycle": "r",
+    "ass": "r",
+    "filtration": "r",
+    "open": "rr",
+    "iopen": "irr",
+    "closure": "rr",
+    "homvanishes": "rr",
+    "submodlen": "ro",
 }
 
 
@@ -94,9 +89,10 @@ def tokenize(text: str) -> list[Token]:
         elif c in _SYMBOLS:
             tokens.append(Token("SYM", c, line, col))
             i, col = i + 1, col + 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":
+            # only ASCII digits: str.isdigit() also takes "²", which int() rejects
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("INT", text[i:j], line, col))
             col += j - i
@@ -120,8 +116,9 @@ def tokenize(text: str) -> list[Token]:
 @dataclass(frozen=True)
 class Name:
     text: str
-    line: int
-    col: int
+    # source positions are for messages only, so parsed scripts compare by text
+    line: int = field(compare=False)
+    col: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,6 @@ class IdealExpr:
     # each monomial is a tuple of (variable name, exponent) factors; the
     # zero ideal is the empty tuple, the unit literal a monomial of no factors
     monomials: tuple[tuple[tuple[Name, int], ...], ...]
-    is_zero: bool = False
 
 
 @dataclass(frozen=True)
@@ -189,11 +185,17 @@ class Parser:
         shown = tok.value if tok.kind != "EOF" else "end of input"
         return ParseError("%s (found %r)" % (message, shown), tok.line, tok.col)
 
-    def expect_sym(self, sym: str) -> Token:
+    def accept(self, sym: str) -> bool:
+        """Consume the symbol sym if it comes next."""
         tok = self.peek()
-        if tok.kind != "SYM" or tok.value != sym:
+        if tok.kind == "SYM" and tok.value == sym:
+            self.next()
+            return True
+        return False
+
+    def expect_sym(self, sym: str) -> None:
+        if not self.accept(sym):
             raise self.error("expected %r" % sym)
-        return self.next()
 
     def expect_ident(self, what: str = "identifier") -> Name:
         tok = self.peek()
@@ -233,8 +235,7 @@ class Parser:
     def parse_ring(self) -> RingDecl:
         self.next()
         names = [self.expect_ident("variable name")]
-        while self.peek().kind == "SYM" and self.peek().value == ",":
-            self.next()
+        while self.accept(","):
             names.append(self.expect_ident("variable name"))
         return RingDecl(tuple(names))
 
@@ -247,10 +248,9 @@ class Parser:
         tok = self.peek()
         if tok.kind == "INT" and tok.value == "0":
             self.next()
-            return IdealExpr((), is_zero=True)
+            return IdealExpr(())
         monos = [self.parse_monomial()]
-        while self.peek().kind == "SYM" and self.peek().value == ",":
-            self.next()
+        while self.accept(","):
             monos.append(self.parse_monomial())
         return IdealExpr(tuple(monos))
 
@@ -262,31 +262,27 @@ class Parser:
                 return ()
             raise self.error("only the literals 0 and 1 are allowed in ideals")
         factors = [self.parse_factor()]
-        while self.peek().kind == "SYM" and self.peek().value == "*":
-            self.next()
+        while self.accept("*"):
             factors.append(self.parse_factor())
         return tuple(factors)
 
     def parse_factor(self) -> tuple[Name, int]:
         name = self.expect_ident("variable name")
         exp = 1
-        if self.peek().kind == "SYM" and self.peek().value == "^":
-            self.next()
+        if self.accept("^"):
             exp = self.expect_int()
         return (name, exp)
 
     def parse_ref(self) -> Ref:
         first = self.expect_ident("ideal name")
-        if self.peek().kind == "SYM" and self.peek().value == "/":
-            self.next()
+        if self.accept("/"):
             second = self.expect_ident("ideal name")
             return Ref(lower=second, upper=first)
         return Ref(lower=first, upper=None)
 
     def parse_ordinal(self) -> Ordinal:
         terms = [self.parse_ordinal_term()]
-        while self.peek().kind == "SYM" and self.peek().value == "+":
-            self.next()
+        while self.accept("+"):
             terms.append(self.parse_ordinal_term())
         return Ordinal.from_coeffs(terms)
 
@@ -300,8 +296,7 @@ class Parser:
         if tok.kind == "IDENT" and tok.value == "w":
             self.next()
             exp = 1
-            if self.peek().kind == "SYM" and self.peek().value == "^":
-                self.next()
+            if self.accept("^"):
                 exp = self.expect_int()
             return (exp, 1 if coeff is None else coeff)
         if coeff is None:
@@ -309,22 +304,20 @@ class Parser:
         return (0, coeff)
 
     def parse_command(self) -> Command:
-        name = self.next().value
-        if name == "iopen":
-            idx = self.parse_signed_int()
-            return Command(name, (self.parse_ref(), self.parse_ref()), index=idx)
-        if name == "submodlen":
-            ref = self.parse_ref()
-            return Command(name, (ref,), ordinal=self.parse_ordinal())
-        refs = tuple(self.parse_ref() for _ in range(_COMMANDS[name]))
-        return Command(name, refs)
+        kind = self.next().value
+        refs, index, ordinal = [], None, None
+        for arg in _COMMANDS[kind]:
+            if arg == "r":
+                refs.append(self.parse_ref())
+            elif arg == "i":
+                index = self.parse_signed_int()
+            else:
+                ordinal = self.parse_ordinal()
+        return Command(kind, tuple(refs), index, ordinal)
 
     def parse_signed_int(self) -> int:
         # grammar says integer; a leading '-' is tolerated for the i = -1 case
-        neg = False
-        if self.peek().kind == "SYM" and self.peek().value == "-":
-            self.next()
-            neg = True
+        neg = self.accept("-")
         val = self.expect_int()
         return -val if neg else val
 
@@ -335,7 +328,7 @@ def parse(text: str) -> Script:
 
 def render_script(script: Script) -> str:
     """Inverse of parse up to formatting: reparsing the output gives an
-    equal Script (modulo source positions)."""
+    equal Script."""
 
     def mono_text(mono: tuple[tuple[Name, int], ...]) -> str:
         if not mono:
@@ -347,37 +340,20 @@ def render_script(script: Script) -> str:
         if isinstance(stmt, RingDecl):
             lines.append("ring %s" % ",".join(n.text for n in stmt.names))
         elif isinstance(stmt, Binding):
-            body = "0" if stmt.ideal.is_zero else ", ".join(
-                mono_text(m) for m in stmt.ideal.monomials
-            )
+            monos = stmt.ideal.monomials
+            body = ", ".join(mono_text(m) for m in monos) if monos else "0"
             lines.append("%s = %s" % (stmt.name.text, body))
         else:
-            refs = " ".join(r.display().removeprefix("R/") for r in stmt.refs)
-            if stmt.kind == "iopen":
-                lines.append("iopen %d %s" % (stmt.index, refs))
-            elif stmt.kind == "submodlen":
-                lines.append("submodlen %s %s" % (refs, stmt.ordinal.display(ascii_only=True)))
-            else:
-                lines.append("%s %s" % (stmt.kind, refs))
+            words, refs = [stmt.kind], iter(stmt.refs)
+            for arg in _COMMANDS[stmt.kind]:
+                if arg == "r":
+                    words.append(next(refs).display().removeprefix("R/"))
+                elif arg == "i":
+                    words.append(str(stmt.index))
+                else:
+                    words.append(stmt.ordinal.display(ascii_only=True))
+            lines.append(" ".join(words))
     return "\n".join(lines) + "\n"
-
-
-def script_shape(script: Script):
-    """Position-independent structural summary, used for round-trip checks."""
-
-    def strip(obj):
-        if isinstance(obj, Name):
-            return obj.text
-        if isinstance(obj, RingDecl):
-            return ("ring", tuple(n.text for n in obj.names))
-        if isinstance(obj, Binding):
-            return ("bind", obj.name.text, obj.ideal.is_zero,
-                    tuple(tuple((n.text, e) for n, e in m) for m in obj.ideal.monomials))
-        if isinstance(obj, Command):
-            return (obj.kind, tuple(r.display() for r in obj.refs), obj.index, obj.ordinal)
-        raise TypeError(obj)
-
-    return tuple(strip(s) for s in script.statements)
 
 
 # ---------------------------------------------------------------- rendering
@@ -421,6 +397,10 @@ def ordinal_json(a: Ordinal) -> dict:
 
 def cycle_json(c: Cycle, names: list[str]) -> list[dict]:
     return [{"vars": [names[v] for v in sorted(p.vars)], "mult": mult} for p, mult in c.terms]
+
+
+def ideal_json(i: MonomialIdeal, names: list[str]) -> list[str]:
+    return [render_monomial(g, names) for g in i.gens]
 
 
 # ---------------------------------------------------------------- evaluation
@@ -477,9 +457,6 @@ class Runner:
     def exec_binding(self, stmt: Binding) -> None:
         names = self.require_ring()
         n = len(names)
-        if stmt.ideal.is_zero:
-            self.ideals[stmt.name.text] = monomial.zero_ideal(n)
-            return
         gens = []
         for mono in stmt.ideal.monomials:
             exps = [0] * n
@@ -503,115 +480,66 @@ class Runner:
     def resolve(self, ref: Ref) -> SubquotientModule:
         lower = self.lookup(ref.lower)
         if ref.upper is None:
-            upper = unit_ideal(lower.ambient_n)
-        else:
-            upper = self.lookup(ref.upper)
-        try:
-            return SubquotientModule(lower, upper)
-        except InvalidSubquotientError as exc:
-            raise SemanticError(str(exc)) from exc
+            return SubquotientModule(lower, unit_ideal(lower.ambient_n))
+        return SubquotientModule(lower, self.lookup(ref.upper))
 
-    def resolve_witness(self, m: SubquotientModule, ref: Ref) -> MonomialIdeal:
+    def resolve_witness(self, m: SubquotientModule, ref: Ref) -> SubquotientModule:
+        """The submodule K/I of m = J/I named by the witness ideal K."""
         if ref.upper is not None:
             raise SemanticError("a submodule witness must be a single ideal name")
-        k = self.lookup(ref.lower)
-        if not k.contains_ideal(m.lower) or not m.upper.contains_ideal(k):
-            raise SemanticError("witness ideal is not between the module's ideals")
-        return k
+        return m.submodule(self.lookup(ref.lower))
 
     def exec_command(self, cmd: Command) -> None:
         names = self.require_ring()
         m = self.resolve(cmd.refs[0])
         disp = cmd.refs[0].display()
+        # homvanishes calls its first module the source; key order is output
+        obj = {"cmd": cmd.kind, "source" if cmd.kind == "homvanishes" else "module": disp}
         if cmd.kind == "len":
             mu = invariants.length(m)
-            self.emit(
-                "len %s = %s" % (disp, self.disp(mu)),
-                {"cmd": "len", "module": disp, "length": ordinal_json(mu),
-                 "display": self.disp(mu)},
-            )
+            text = "len %s = %s" % (disp, self.disp(mu))
+            obj.update(length=ordinal_json(mu), display=self.disp(mu))
         elif cmd.kind == "cycle":
             fc = invariants.fundamental_cycle(m)
-            self.emit(
-                render_cycle(fc, names),
-                {"cmd": "cycle", "module": disp, "cycle": cycle_json(fc, names)},
-            )
+            text = render_cycle(fc, names)
+            obj["cycle"] = cycle_json(fc, names)
         elif cmd.kind == "ass":
             primes = sorted(invariants.associated_primes(m), key=PrimeSupport.sort_key)
             text = ", ".join(render_prime(p, names) for p in primes) if primes else "none"
-            self.emit(
-                text,
-                {"cmd": "ass", "module": disp,
-                 "primes": [[names[v] for v in sorted(p.vars)] for p in primes]},
-            )
+            obj["primes"] = [[names[v] for v in sorted(p.vars)] for p in primes]
         elif cmd.kind == "filtration":
             if m.is_zero:
                 raise SemanticError("dimension filtration of the zero module")
             d = invariants.basic_invariants(m).dimension
             ideals = [invariants.dimension_filtration(m, i).upper for i in range(d + 1)]
             joiner = " <= " if self.ascii_only else " ⊆ "
-            self.emit(
-                joiner.join(render_ideal(k, names) for k in ideals),
-                {"cmd": "filtration", "module": disp,
-                 "ideals": [[render_monomial(g, names) for g in k.gens] for k in ideals]},
-            )
-        elif cmd.kind == "open":
-            k = self.resolve_witness(m, cmd.refs[1])
-            opn = topology.is_open(m, k)
-            sub_len = invariants.length(m.submodule(k))
-            text = "open" if opn else "not open (len = %s)" % self.disp(sub_len)
-            self.emit(
-                text,
-                {"cmd": "open", "module": disp,
-                 "submodule": render_ideal(k, names), "open": opn,
-                 "length": ordinal_json(sub_len), "display": self.disp(sub_len)},
-            )
-        elif cmd.kind == "iopen":
-            k = self.resolve_witness(m, cmd.refs[1])
-            assert cmd.index is not None
-            opn = topology.is_i_open(m, k, cmd.index)
-            sub_len = invariants.length(m.submodule(k))
-            text = "i-open" if opn else "not i-open (len = %s)" % self.disp(sub_len)
-            self.emit(
-                text,
-                {"cmd": "iopen", "module": disp, "i": cmd.index,
-                 "submodule": render_ideal(k, names), "iopen": opn,
-                 "length": ordinal_json(sub_len), "display": self.disp(sub_len)},
-            )
+            text = joiner.join(render_ideal(k, names) for k in ideals)
+            obj["ideals"] = [ideal_json(k, names) for k in ideals]
+        elif cmd.kind in ("open", "iopen"):
+            sub = self.resolve_witness(m, cmd.refs[1])
+            if cmd.kind == "open":
+                opn, label = topology.is_open(m, sub.upper), "open"
+            else:
+                opn, label = topology.is_i_open(m, sub.upper, cmd.index), "i-open"
+                obj["i"] = cmd.index
+            sub_len = invariants.length(sub)
+            text = label if opn else "not %s (len = %s)" % (label, self.disp(sub_len))
+            obj.update({"submodule": render_ideal(sub.upper, names), cmd.kind: opn,
+                        "length": ordinal_json(sub_len), "display": self.disp(sub_len)})
         elif cmd.kind == "closure":
-            k = self.resolve_witness(m, cmd.refs[1])
+            k = self.resolve_witness(m, cmd.refs[1]).upper
             cl = topology.closure(m, k)
-            self.emit(
-                render_ideal(cl, names),
-                {"cmd": "closure", "module": disp,
-                 "submodule": render_ideal(k, names),
-                 "ideal": [render_monomial(g, names) for g in cl.gens]},
-            )
+            text = render_ideal(cl, names)
+            obj.update(submodule=render_ideal(k, names), ideal=ideal_json(cl, names))
         elif cmd.kind == "homvanishes":
-            other = self.resolve(cmd.refs[1])
-            try:
-                res = topology.hom_vanishes(m, other)
-            except ZeroModuleError as exc:
-                raise SemanticError(str(exc)) from exc
-            self.emit(
-                "true" if res else "false",
-                {"cmd": "homvanishes", "source": disp,
-                 "target": cmd.refs[1].display(), "vanishes": res},
-            )
-        elif cmd.kind == "submodlen":
-            assert cmd.ordinal is not None
-            try:
-                k = invariants.construct_submodule_of_length(m, cmd.ordinal)
-            except InvalidSubquotientError as exc:
-                raise SemanticError(str(exc)) from exc
-            self.emit(
-                render_ideal(k, names),
-                {"cmd": "submodlen", "module": disp,
-                 "target": ordinal_json(cmd.ordinal),
-                 "ideal": [render_monomial(g, names) for g in k.gens]},
-            )
-        else:  # pragma: no cover - parser rejects unknown commands
-            raise SemanticError("unknown command %r" % cmd.kind)
+            res = topology.hom_vanishes(m, self.resolve(cmd.refs[1]))
+            text = "true" if res else "false"
+            obj.update(target=cmd.refs[1].display(), vanishes=res)
+        else:  # submodlen
+            k = invariants.construct_submodule_of_length(m, cmd.ordinal)
+            text = render_ideal(k, names)
+            obj.update(target=ordinal_json(cmd.ordinal), ideal=ideal_json(k, names))
+        self.emit(text, obj)
 
 
 def run_text(
@@ -628,7 +556,7 @@ def run_text(
     runner = Runner(as_json=as_json, ascii_only=ascii_only, out=out, max_vars=max_vars)
     try:
         runner.run(script)
-    except (ResourceCapError, SubmoduleSearchError) as exc:
+    except ResourceCapError as exc:
         err.write("resource cap: %s\n" % exc)
         return 3
     except OrdlenError as exc:
@@ -638,22 +566,17 @@ def run_text(
 
 
 def _eval_script(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
-    cmd = args.cmd
-    if _COMMANDS[cmd] == 2 and not args.ideal2:
-        parser.error("--cmd %s needs --ideal2" % cmd)
-    if cmd == "iopen" and args.index is None:
-        parser.error("--cmd iopen needs --index")
-    if cmd == "submodlen" and not args.ordinal:
-        parser.error("--cmd submodlen needs --ordinal")
+    spec = _COMMANDS[args.cmd]
+    # "rr": a command with a second ref needs a second ideal
+    for kinds, flag, value in (("rr", "--ideal2", args.ideal2), ("i", "--index", args.index),
+                               ("o", "--ordinal", args.ordinal)):
+        if kinds in spec and (value is None or value == ""):
+            parser.error("--cmd %s needs %s" % (args.cmd, flag))
     lines = ["ring %s" % args.ring, "I = %s" % args.ideal]
     if args.ideal2:
         lines.append("K = %s" % args.ideal2)
-    if cmd == "iopen":
-        lines.append("iopen %d I K" % args.index)
-    elif cmd == "submodlen":
-        lines.append("submodlen I %s" % args.ordinal)
-    else:
-        lines.append("%s I%s" % (cmd, " K" * (_COMMANDS[cmd] - 1)))
+    operands = {"r": ["I", "K"], "i": [str(args.index)], "o": [args.ordinal]}
+    lines.append(" ".join([args.cmd] + [operands[kind].pop(0) for kind in spec]))
     return "\n".join(lines) + "\n"
 
 
@@ -684,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.script, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             sys.stderr.write("cannot read script: %s\n" % exc)
             return 2
     else:

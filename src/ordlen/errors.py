@@ -33,5 +33,5 @@ class ResourceCapError(OrdlenError):
     """An iteration cap was exceeded; the cap is reported in the message."""
 
 
-class SubmoduleSearchError(OrdlenError):
+class SubmoduleSearchError(ResourceCapError):
     """The submodule-of-given-length search failed within its degree bound."""

@@ -7,7 +7,6 @@ manipulated.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 from . import ordinal as ord_
@@ -68,12 +67,7 @@ class EOpenPower(NamedTuple):
     ideal: MonomialIdeal
 
 
-def default_power_cap() -> int:
-    env = os.environ.get("ORDLEN_CAP")
-    return int(env) if env else DEFAULT_POWER_CAP
-
-
-def find_e_open_power(r_mod: SubquotientModule, cap: int | None = None) -> EOpenPower:
+def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) -> EOpenPower:
     """Least n with (a^n + I)/I an e-open in R/I, for e the order of R/I and
     a the intersection of its associated primes of dimension e.
 
@@ -84,7 +78,6 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int | None = None) -> EOpen
         raise OrdlenError("e-open power search expects a quotient ring R/I")
     if r_mod.is_zero:
         raise ZeroModuleError("the zero module has no order")
-    cap = default_power_cap() if cap is None else cap
     inv = basic_invariants(r_mod)
     e = inv.order
     a = None

@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ordlen import cli
 from ordlen.errors import SubmoduleSearchError
@@ -152,6 +154,9 @@ class TestExitCodes:
             "len\n",  # command without a ref
             "frobnicate I\n",  # unknown statement
             "ring x,y\nI = x ~ y\n",  # illegal character
+            "ring x,y\nI = x^²\nlen I\n",  # digits int() rejects are not integers
+            "ring x,y\nI = x\nK = 1\niopen ² I K\n",
+            "ring x,y\nI = x\nsubmodlen I ³w\n",
         ],
     )
     def test_parse_errors(self, text):
@@ -184,19 +189,73 @@ class TestExitCodes:
         assert code == 3 and "resource cap" in err
 
 
+# Scripts drawn from the grammar in the cli docstring, over at most three
+# variables and with every integer at most 3, so that no run is large.  A few
+# scripts have no ring, a repeated or undefined variable, or an undefined
+# ideal J, so that the error paths are reachable too.
+_SMALL = st.integers(0, 3)
+_RARELY = st.sampled_from([False] * 7 + [True])
+_REF = st.sampled_from(["I", "K", "K/I", "I/K", "K/K", "J"])
+_TERM = _SMALL.map(str) | st.builds("{}w^{}".format, _SMALL, _SMALL)
+_ORDINAL = st.lists(_TERM, min_size=1, max_size=3).map(" + ".join)
+_COMMAND = st.one_of(
+    st.builds("{} {}".format, st.sampled_from(["len", "cycle", "ass", "filtration"]), _REF),
+    st.builds("{} {} {}".format, st.sampled_from(["open", "closure", "homvanishes"]), _REF, _REF),
+    st.builds("iopen {} {} {}".format, st.integers(-1, 3), _REF, _REF),
+    st.builds("submodlen {} {}".format, _REF, _ORDINAL),
+)
+
+
+@st.composite
+def _scripts(draw):
+    names = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True))
+    variables = st.sampled_from(names + ["q"] if draw(_RARELY) else names)
+    factor = st.builds("{}^{}".format, variables, _SMALL)
+    mono = st.just("1") | st.lists(factor, min_size=1, max_size=3).map("*".join)
+    ideal = st.just("0") | st.lists(mono, min_size=1, max_size=3).map(", ".join)
+    repeated = names[:1] if draw(_RARELY) else []
+    lines = [] if draw(_RARELY) else ["ring " + ",".join(names + repeated)]
+    lines += ["%s = %s" % (name, draw(ideal)) for name in draw(st.permutations("IK"))]
+    lines += draw(st.lists(_COMMAND, min_size=1, max_size=3))
+    return "\n".join(lines) + "\n"
+
+
+_TOKENS = ["ring", "x", "y", "I", "K", "=", ",", "^", "*", "/", "+", "-", "0", "1", "2",
+           "w", "len", "iopen", "submodlen", "\n", "#", "²", "\xff"]
+
+
+class TestExitCodeProperties:
+    @given(st.text(max_size=30) | st.lists(st.sampled_from(_TOKENS), max_size=20).map(" ".join))
+    @example("ring x\nI = x^²\n")
+    @example("ring x\nI = x\xff\n")
+    def test_parse_returns_a_script_or_raises_parse_error(self, text):
+        try:
+            assert isinstance(cli.parse(text), cli.Script)
+        except cli.ParseError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(_scripts())
+    def test_grammar_scripts_end_with_a_documented_exit_code(self, text):
+        code, _, err = run(text)
+        assert code in (0, 1, 2, 3)
+        assert (err == "") == (code == 0)
+
+
 class TestRoundTrip:
     CASES = [
         EXAMPLE,
         "ring x\nI = 0\nJ = 1\nlen J/I\n",
         "ring a,b\nI = a^3*b, b^2\niopen -1 I I\nsubmodlen I 2w + 1\n",
         "ring x,y\nI = x*y\nclosure I I\nhomvanishes I I\n",
+        "# positions move\nring   x ,y\nI=x^2,x * y  # trailing\nopen  I  I\n",
     ]
 
     @pytest.mark.parametrize("text", CASES)
     def test_render_parse_roundtrip(self, text):
         script = cli.parse(text)
         rendered = cli.render_script(script)
-        assert cli.script_shape(cli.parse(rendered)) == cli.script_shape(script)
+        assert cli.parse(rendered) == script
 
     @pytest.mark.parametrize("text", CASES)
     def test_render_is_idempotent(self, text):
@@ -250,6 +309,12 @@ class TestMain:
 
     def test_run_missing_file(self, capsys):
         assert cli.main(["run", "/nonexistent/script.ord"]) == 2
+
+    def test_run_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "script.ord"
+        path.write_bytes(b"ring x\nI = x\xff\n")
+        assert cli.main(["run", str(path)]) == 2
+        assert "cannot read script" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra",

@@ -128,11 +128,6 @@ class TestEOpenPower:
         with pytest.raises(ZeroModuleError):
             find_e_open_power(SubquotientModule.quotient_ring(unit_ideal(2)))
 
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("ORDLEN_CAP", "1")
-        with pytest.raises(ResourceCapError):
-            find_e_open_power(M2)
-
 
 class TestHomVanishing:
     def test_dimension_below_order(self):
