@@ -111,3 +111,33 @@ def test_cycle_leq_gives_weaker(d, e):
 @given(effective_cycles)
 def test_valence_is_degree(d):
     assert binord(d).valence == d.degree
+
+
+# cycles with coefficients of either sign, and differences of effective cycles
+signed_cycles = st.one_of(
+    st.dictionaries(primes3, st.integers(-4, 4).filter(bool), max_size=6).map(
+        lambda d: Cycle.from_terms(N, d)
+    ),
+    st.builds(cycle_sub, effective_cycles, effective_cycles),
+)
+
+
+@given(signed_cycles, signed_cycles)
+def test_cycle_add_is_from_terms(d, e):
+    assert cycle_add(d, e) == Cycle.from_terms(N, d.terms + e.terms)
+
+
+@given(signed_cycles, signed_cycles)
+def test_cycle_sub_is_from_terms(d, e):
+    assert cycle_sub(d, e) == Cycle.from_terms(N, d.terms + tuple((p, -c) for p, c in e.terms))
+
+
+@given(signed_cycles, signed_cycles)
+def test_cycle_leq_is_support_union(d, e):
+    keys = d.support | e.support
+    assert cycle_leq(d, e) == all(d.coeff(p) <= e.coeff(p) for p in keys)
+
+
+@given(effective_cycles)
+def test_binord_is_from_coeffs(d):
+    assert binord(d) == Ordinal.from_coeffs([(p.dim, c) for p, c in d.terms])

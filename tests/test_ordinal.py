@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -179,6 +180,33 @@ class TestAlgebraicLaws:
         equal = cantor_sum(a, b) == shuffle_sum(a, b)
         criterion = a.is_zero or b.is_zero or b.degree <= a.order
         assert equal == criterion
+
+
+class TestAgainstDefinitions:
+    """Each binary operation equals its coefficient-wise definition."""
+
+    @given(ordinals, ordinals)
+    def test_shuffle_sum(self, a, b):
+        assert shuffle_sum(a, b) == Ordinal.from_coeffs(a.terms + b.terms)
+
+    @given(ordinals, ordinals)
+    def test_meet(self, a, b):
+        exps = a.support | b.support
+        assert meet(a, b) == Ordinal.from_coeffs({e: min(a.coeff(e), b.coeff(e)) for e in exps})
+
+    @given(ordinals, ordinals)
+    def test_weaker(self, a, b):
+        exps = a.support | b.support
+        assert weaker(a, b) == all(a.coeff(e) <= b.coeff(e) for e in exps)
+
+    @given(ordinals, ordinals)
+    def test_shuffle_difference(self, a, b):
+        if weaker(b, a):
+            expected = Ordinal.from_coeffs({e: a.coeff(e) - b.coeff(e) for e in a.support})
+            assert shuffle_difference(a, b) == expected
+        else:
+            with pytest.raises(ValueError):
+                shuffle_difference(a, b)
 
 
 class TestDisplay:
