@@ -7,8 +7,8 @@ Cycles are finitely supported integer combinations of such primes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import AmbientMismatchError, NonEffectiveCycleError
 from .ordinal import Ordinal
@@ -24,13 +24,14 @@ class PrimeSupport:
     def __post_init__(self) -> None:
         if any(v < 0 or v >= self.ambient_n for v in self.vars):
             raise ValueError("variable index out of range")
+        object.__setattr__(self, "_sort_key", (len(self.vars), tuple(sorted(self.vars))))
 
     @property
     def dim(self) -> int:
         return self.ambient_n - len(self.vars)
 
     def sort_key(self) -> tuple:
-        return (len(self.vars), tuple(sorted(self.vars)))
+        return self._sort_key
 
 
 def prime(ambient_n: int, vars: Iterable[int]) -> PrimeSupport:
@@ -39,7 +40,7 @@ def prime(ambient_n: int, vars: Iterable[int]) -> PrimeSupport:
 
 @dataclass(frozen=True)
 class Cycle:
-    """An element of the Chow group: a sparse sum of primes with integer weights."""
+    """An element of the Chow group: nonzero weights on primes in sort_key order."""
 
     ambient_n: int
     terms: tuple[tuple[PrimeSupport, int], ...] = ()
@@ -56,17 +57,13 @@ class Cycle:
         cls, ambient_n: int, terms: Mapping[PrimeSupport, int] | Iterable[tuple[PrimeSupport, int]]
     ) -> Cycle:
         acc: dict[PrimeSupport, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for p, c in items:
+        for p, c in terms.items() if isinstance(terms, Mapping) else terms:
             acc[p] = acc.get(p, 0) + c
-        canon = tuple(sorted(((p, c) for p, c in acc.items() if c), key=lambda t: t[0].sort_key()))
+        canon = tuple(sorted(((p, c) for p, c in acc.items() if c), key=lambda t: t[0]._sort_key))
         return cls(ambient_n, canon)
 
     def coeff(self, p: PrimeSupport) -> int:
-        for q, c in self.terms:
-            if q == p:
-                return c
-        return 0
+        return dict(self.terms).get(p, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -90,26 +87,38 @@ def zero_cycle(ambient_n: int) -> Cycle:
     return Cycle(ambient_n)
 
 
-def _check_ambient(d: Cycle, e: Cycle) -> None:
+def _merge(d: Cycle, e: Cycle, sign: int) -> Cycle:
+    """d + sign * e by one pass over both term tuples in sort-key order."""
     if d.ambient_n != e.ambient_n:
         raise AmbientMismatchError("cycles over different rings")
+    a, b = d.terms, e.terms if sign == 1 else tuple((q, sign * f) for q, f in e.terms)
+    terms, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        ka, kb = a[i][0]._sort_key, b[j][0]._sort_key
+        if ka < kb:
+            terms.append(a[i])
+        elif kb < ka:
+            terms.append(b[j])
+        elif a[i][1] + b[j][1]:
+            terms.append((a[i][0], a[i][1] + b[j][1]))
+        i, j = i + (ka <= kb), j + (kb <= ka)
+    return Cycle(d.ambient_n, tuple(terms) + a[i:] + b[j:])
 
 
 def cycle_add(d: Cycle, e: Cycle) -> Cycle:
-    _check_ambient(d, e)
-    return Cycle.from_terms(d.ambient_n, list(d.terms) + list(e.terms))
+    return _merge(d, e, 1)
 
 
 def cycle_sub(d: Cycle, e: Cycle) -> Cycle:
-    _check_ambient(d, e)
-    return Cycle.from_terms(d.ambient_n, list(d.terms) + [(p, -c) for p, c in e.terms])
+    return _merge(d, e, -1)
 
 
 def cycle_leq(d: Cycle, e: Cycle) -> bool:
-    """Coefficient-wise comparison of cycles."""
-    _check_ambient(d, e)
-    keys = d.support | e.support
-    return all(d.coeff(p) <= e.coeff(p) for p in keys)
+    """Coefficient-wise comparison of cycles, over the union of their supports."""
+    if d.ambient_n != e.ambient_n:
+        raise AmbientMismatchError("cycles over different rings")
+    ec = dict(e.terms)
+    return all(c <= ec.pop(p, 0) for p, c in d.terms) and all(c >= 0 for c in ec.values())
 
 
 def binord(d: Cycle) -> Ordinal:

@@ -8,8 +8,9 @@ is hashable and immutable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 
 @dataclass(frozen=True, order=True)
@@ -37,8 +38,7 @@ class Ordinal:
     def from_coeffs(cls, coeffs: Mapping[int, int] | Iterable[tuple[int, int]]) -> Ordinal:
         """Build from {exponent: coefficient}; zero coefficients are dropped."""
         acc: dict[int, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for exp, coeff in items:
+        for exp, coeff in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
             acc[exp] = acc.get(exp, 0) + coeff
         return cls(tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True)))
 
@@ -138,12 +138,17 @@ def cantor_sum(a: Ordinal, b: Ordinal) -> Ordinal:
 
 def shuffle_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     """The natural (commutative) sum: coefficient-wise addition."""
-    return Ordinal.from_coeffs(list(a.terms) + list(b.terms))
+    if not (a.terms and b.terms):
+        return b if a.is_zero else a
+    acc = dict(a.terms)
+    acc.update((e, acc.get(e, 0) + c) for e, c in b.terms)
+    return Ordinal(tuple(sorted(acc.items(), reverse=True)))
 
 
 def meet(a: Ordinal, b: Ordinal) -> Ordinal:
     """Coefficient-wise minimum, the infimum for the weaker order."""
-    return Ordinal.from_coeffs({e: min(c, b.coeff(e)) for e, c in a.terms})
+    bc = dict(b.terms)
+    return Ordinal(tuple((e, min(c, bc[e])) for e, c in a.terms if e in bc))
 
 
 def weaker(a: Ordinal, b: Ordinal) -> bool:
@@ -179,4 +184,5 @@ def shuffle_difference(a: Ordinal, b: Ordinal) -> Ordinal:
     """The witness c with shuffle_sum(b, c) == a; requires b weaker than a."""
     if not weaker(b, a):
         raise ValueError("difference defined only when b is weaker than a")
-    return Ordinal.from_coeffs({e: c - b.coeff(e) for e, c in a.terms})
+    bc = dict(b.terms)
+    return Ordinal(tuple((e, c - bc.get(e, 0)) for e, c in a.terms if c != bc.get(e, 0)))

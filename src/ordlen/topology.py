@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import ordinal as ord_
+from .chow import PrimeSupport
 from .errors import OrdlenError, ResourceCapError, ZeroModuleError
 from .invariants import (
     associated_primes,
@@ -81,7 +82,7 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     inv = basic_invariants(r_mod)
     e = inv.order
     a = None
-    for p in sorted(associated_primes(r_mod), key=lambda p: p.sort_key()):
+    for p in sorted(associated_primes(r_mod), key=PrimeSupport.sort_key):
         if p.dim == e:
             pid = prime_ideal(p)
             a = pid if a is None else ideal_intersection(a, pid)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ordlen.chow import (
     Cycle,
+    PrimeSupport,
     binord,
     cycle_add,
     cycle_leq,
@@ -37,6 +38,13 @@ def test_from_terms_canonicalizes():
     assert c.terms == ((PX, 2),)
     assert c.coeff(PX) == 2
     assert c.coeff(PXY) == 0
+
+
+def test_sort_key_is_hidden_from_equality_and_repr():
+    assert PXY.sort_key() == (2, (0, 1))
+    assert PrimeSupport.sort_key(MAX) == (3, (0, 1, 2))
+    assert PXY == prime(N, [1, 0]) and hash(PXY) == hash(prime(N, [1, 0]))
+    assert repr(PX) == "PrimeSupport(ambient_n=3, vars=frozenset({0}))"
 
 
 def test_cycle_arithmetic():
