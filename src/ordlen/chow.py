@@ -46,11 +46,11 @@ class Cycle:
     terms: tuple[tuple[PrimeSupport, int], ...] = ()
 
     def __post_init__(self) -> None:
-        for p, c in self.terms:
+        for k, (p, c) in enumerate(self.terms):
             if p.ambient_n != self.ambient_n:
                 raise AmbientMismatchError("cycle term in wrong ring")
-            if c == 0:
-                raise ValueError("zero coefficient stored in cycle")
+            if c == 0 or k and p._sort_key <= self.terms[k - 1][0]._sort_key:
+                raise ValueError("cycle terms not canonical: zero coefficient or out of order")
 
     @classmethod
     def from_terms(

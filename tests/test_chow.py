@@ -47,6 +47,16 @@ def test_sort_key_is_hidden_from_equality_and_repr():
     assert repr(PX) == "PrimeSupport(ambient_n=3, vars=frozenset({0}))"
 
 
+def test_cycle_terms_must_be_canonical():
+    with pytest.raises(ValueError):
+        Cycle(N, ((PX, 0),))
+    with pytest.raises(ValueError):
+        Cycle(N, ((PXY, 1), (PX, 1)))
+    with pytest.raises(ValueError):
+        Cycle(N, ((PX, 1), (PX, 2)))
+    assert Cycle(N, ((PX, 2), (PXY, -1))) == Cycle.from_terms(N, {PXY: -1, PX: 2})
+
+
 def test_cycle_arithmetic():
     d = Cycle.from_terms(N, {PX: 1, PXY: 1})
     e = Cycle.from_terms(N, {PXY: 1})
