@@ -1,11 +1,15 @@
 import io
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ordlen.chow import Cycle, prime, zero_cycle
 from ordlen.cli import run_text
 from ordlen.errors import AmbientMismatchError, InvalidSubquotientError, ZeroModuleError
 from ordlen.invariants import (
+    _slice,
     associated_primes,
     basic_invariants,
     construct_submodule_of_length,
@@ -16,7 +20,14 @@ from ordlen.invariants import (
     length,
     local_multiplicity,
 )
-from ordlen.monomial import MonomialIdeal, SubquotientModule, maximal_ideal, unit_ideal
+from ordlen.monomial import (
+    Monomial,
+    MonomialIdeal,
+    SubquotientModule,
+    colon,
+    maximal_ideal,
+    unit_ideal,
+)
 from ordlen.ordinal import ZERO, Ordinal, truncate_below, weaker
 
 
@@ -241,3 +252,40 @@ class TestClosedForms:
         lower = ideal(2, (3000, 0), (2000, 1000))
         m = SubquotientModule(lower, ideal(2, (500, 0)))
         assert length(m) == Ordinal.from_coeffs({1: 1500, 0: 1000000})
+
+
+slice_cases = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=8),
+        st.integers(0, n - 1),
+        st.integers(0, 6),
+    )
+)
+
+
+@given(slice_cases)
+def test_slice_is_the_free_part_of_the_colon(case):
+    # the x_v-free generators of (i : x_v^k), the slice's definition
+    n, gens, v, k = case
+    i = MonomialIdeal.make(n, gens)
+    x_v_k = MonomialIdeal(n, (Monomial(tuple(k if j == v else 0 for j in range(n))),))
+    expected = MonomialIdeal(n, tuple(g for g in colon(i, x_v_k).gens if not g.exponents[v]))
+    assert _slice(i, v, k) == expected
+
+
+def fixed_degree(n, g, d):
+    """g distinct monomials in n variables, each of d uniform variable draws."""
+    rng = random.Random(7 * n + g)
+    gens = set()
+    while len(gens) < g:
+        e = [0] * n
+        for _ in range(d):
+            e[rng.randrange(n)] += 1
+        gens.add(tuple(e))
+    return MonomialIdeal.make(n, gens)
+
+
+def test_length_of_a_wide_ideal():
+    m = SubquotientModule.quotient_ring(fixed_degree(6, 80, 10))
+    assert length(m) == Ordinal.from_coeffs({4: 1, 3: 76, 2: 264, 1: 422, 0: 210})

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ordlen.chow import prime
 from ordlen.errors import AmbientMismatchError, InvalidSubquotientError
@@ -30,6 +32,62 @@ def monomials_up_to(n, degree):
     for exps in itertools.product(range(degree + 1), repeat=n):
         if sum(exps) <= degree:
             yield Monomial(exps)
+
+
+def exponent_vectors(n, count):
+    return st.tuples(*[st.tuples(*[st.integers(0, 5)] * n)] * count)
+
+
+monomial_pairs = st.integers(1, 4).flatmap(lambda n: exponent_vectors(n, 2))
+generator_sets = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=8))
+)
+
+
+class TestAgainstDefinitions:
+    """Each exponent operation against its element-wise definition."""
+
+    @given(monomial_pairs)
+    def test_divides(self, pair):
+        a, b = pair
+        assert Monomial(a).divides(Monomial(b)) == all(x <= y for x, y in zip(a, b))
+
+    @given(monomial_pairs)
+    def test_times(self, pair):
+        a, b = pair
+        assert Monomial(a).times(Monomial(b)).exponents == tuple(x + y for x, y in zip(a, b))
+
+    @given(monomial_pairs)
+    def test_lcm(self, pair):
+        a, b = pair
+        assert Monomial(a).lcm(Monomial(b)).exponents == tuple(max(x, y) for x, y in zip(a, b))
+
+    @given(monomial_pairs)
+    def test_quotient_by(self, pair):
+        a, b = pair
+        expected = tuple(max(x - y, 0) for x, y in zip(a, b))
+        assert Monomial(a).quotient_by(Monomial(b)).exponents == expected
+
+    @given(monomial_pairs)
+    def test_sort_key(self, pair):
+        a, _ = pair
+        assert Monomial(a).sort_key() == (sum(a), tuple(-x for x in a))
+
+    @given(generator_sets)
+    def test_make_is_a_sorted_antichain_with_the_same_members(self, case):
+        n, gens = case
+        made = MonomialIdeal.make(n, gens)
+        keys = [g.sort_key() for g in made.gens]
+        assert keys == sorted(set(keys))
+        for g, h in itertools.permutations(made.gens, 2):
+            assert not g.divides(h)
+        for m in monomials_up_to(n, 5):
+            member = any(all(x <= y for x, y in zip(g, m.exponents)) for g in gens)
+            assert made.contains(m) == member
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            Monomial((0, -1))
 
 
 class TestCanonicalForm:
