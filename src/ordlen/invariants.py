@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from . import ordinal as ord_
-from .chow import Cycle, PrimeSupport, binord, zero_cycle
+from .chow import Cycle, PrimeSupport, binord, cycle_add, cycle_sub, zero_cycle
 from .errors import (
     AmbientMismatchError,
     InvalidSubquotientError,
@@ -22,7 +22,6 @@ from .monomial import (
     Monomial,
     MonomialIdeal,
     SubquotientModule,
-    colon,
     ideal_intersection,
     ideal_sum,
     prime_ideal,
@@ -34,11 +33,11 @@ from .ordinal import Ordinal
 
 
 def _slice(i: MonomialIdeal, v: int, k: int) -> MonomialIdeal:
-    """The x_v-free part of (i : x_v^k): the monomials m free of x_v with
-    x_v^k * m in i."""
-    n = i.ambient_n
-    q = colon(i, MonomialIdeal(n, (Monomial(tuple(k if j == v else 0 for j in range(n))),)))
-    return MonomialIdeal(n, tuple(g for g in q.gens if not g.exponents[v]))
+    """The x_v-free part of (i : x_v^k).  An x_v-free m has x_v^k * m in i
+    iff some generator g of i has g_v <= k and divides m off x_v, so the
+    slice is generated by those g with g_v set to 0."""
+    gens = [g.exponents for g in i.gens if g.exponents[v] <= k]
+    return MonomialIdeal.make(i.ambient_n, [e[:v] + (0,) + e[v + 1 :] for e in gens])
 
 
 @lru_cache(maxsize=None)
@@ -50,7 +49,9 @@ def fundamental_cycle(m: SubquotientModule) -> Cycle:
     of standard pairs (x^a, S) of I with S = vars - p and x^a in
     J : x_S^infinity.  The pairs are counted by recursion on one variable
     x_v of I, in the manner of Hosten-Thomas (1999): the monomials of
-    x_v-degree k outside I are x_v^k times those outside the slice I_k.
+    x_v-degree k outside I are x_v^k times those outside the slice I_k,
+    which is read off the generators: an x_v-free m has x_v^k * m in I iff
+    some generator g of I has g_v <= k and divides m off x_v.
     Pairs with x_v free are the pairs of the top slice (k at or past every
     x_v exponent of I and J); pairs with x_v bound at degree k are the
     pairs of I_k lying in J_k : x_S^infinity that are not already covered
@@ -161,8 +162,6 @@ def cycle_defect(m: SubquotientModule, inner_upper: MonomialIdeal) -> Cycle:
     The result is effective whenever M has no embedded primes; callers
     assert that where it applies, since the operation itself stays total.
     """
-    from .chow import cycle_add, cycle_sub
-
     n_part = fundamental_cycle(m.submodule(inner_upper))
     q_part = fundamental_cycle(m.quotient_by(inner_upper))
     return cycle_sub(cycle_add(n_part, q_part), fundamental_cycle(m))

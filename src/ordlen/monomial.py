@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import add, le, neg
 from typing import Iterable
 
 from .chow import PrimeSupport
@@ -23,7 +24,7 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(e < 0 for e in self.exponents):
+        if self.exponents and min(self.exponents) < 0:
             raise ValueError("negative exponent")
 
     @property
@@ -43,13 +44,13 @@ class Monomial:
         return frozenset(i for i, e in enumerate(self.exponents) if e)
 
     def divides(self, other: Monomial) -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        return all(map(le, self.exponents, other.exponents))
 
     def times(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial(tuple(map(add, self.exponents, other.exponents)))
 
     def lcm(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
+        return Monomial(tuple(map(max, self.exponents, other.exponents)))
 
     def quotient_by(self, other: Monomial) -> Monomial:
         """self / gcd(self, other), the monomial colon quotient."""
@@ -58,24 +59,20 @@ class Monomial:
     def sort_key(self) -> tuple:
         # degree-lexicographic with x_0 > x_1 > ..., the deterministic
         # order used in all searches and displays
-        return (self.degree, tuple(-e for e in self.exponents))
-
-
-def one_monomial(n: int) -> Monomial:
-    return Monomial((0,) * n)
+        return (sum(self.exponents), tuple(map(neg, self.exponents)))
 
 
 def variable(n: int, i: int) -> Monomial:
     return Monomial(tuple(1 if j == i else 0 for j in range(n)))
 
 
-def _minimize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    uniq = sorted(set(gens), key=Monomial.sort_key)
-    keep: list[Monomial] = []
-    for g in uniq:
-        if not any(h.divides(g) for h in keep):
-            keep.append(g)
-    return tuple(keep)
+def _minimize(exps: Iterable[tuple[int, ...]]) -> tuple[Monomial, ...]:
+    # Monomial.sort_key order: by degree, ties lexicographically decreasing
+    kept: list[tuple[int, ...]] = []
+    for e in sorted(sorted(set(exps), reverse=True), key=sum):
+        if not any(all(map(le, h, e)) for h in kept):
+            kept.append(e)
+    return tuple(map(Monomial, kept))
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,8 @@ class MonomialIdeal:
 
     @classmethod
     def make(cls, ambient_n: int, gens: Iterable[Monomial | tuple[int, ...]]) -> MonomialIdeal:
-        monos = [g if isinstance(g, Monomial) else Monomial(tuple(g)) for g in gens]
-        return cls(ambient_n, _minimize(monos))
+        exps = [g.exponents if isinstance(g, Monomial) else tuple(g) for g in gens]
+        return cls(ambient_n, _minimize(exps))
 
     @property
     def is_zero(self) -> bool:
@@ -108,7 +105,8 @@ class MonomialIdeal:
         return max((g.degree for g in self.gens), default=0)
 
     def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+        e = m.exponents
+        return any(all(map(le, g.exponents, e)) for g in self.gens)
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -119,7 +117,7 @@ def zero_ideal(n: int) -> MonomialIdeal:
 
 
 def unit_ideal(n: int) -> MonomialIdeal:
-    return MonomialIdeal(n, (one_monomial(n),))
+    return MonomialIdeal(n, (Monomial((0,) * n),))
 
 
 def prime_ideal(p: PrimeSupport) -> MonomialIdeal:
@@ -143,7 +141,8 @@ def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ring(i, j)
-    return MonomialIdeal.make(i.ambient_n, [f.lcm(g) for f in i.gens for g in j.gens])
+    lcms = [tuple(map(max, f.exponents, g.exponents)) for f in i.gens for g in j.gens]
+    return MonomialIdeal.make(i.ambient_n, lcms)
 
 
 def ideal_product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
