@@ -125,4 +125,11 @@ def binord(d: Cycle) -> Ordinal:
     """Map an effective cycle to the shuffle sum of omega^dim(p) with multiplicity."""
     if not d.is_effective:
         raise NonEffectiveCycleError("binord requires an effective cycle")
-    return Ordinal.from_coeffs([(p.dim, c) for p, c in d.terms])
+    # the terms run in decreasing dimension, so each run of one dimension
+    # sums into a single Cantor term and no sort is needed
+    terms: list[tuple[int, int]] = []
+    for p, c in d.terms:
+        if terms and terms[-1][0] == p.dim:
+            c += terms.pop()[1]
+        terms.append((p.dim, c))
+    return Ordinal(tuple(terms))

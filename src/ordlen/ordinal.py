@@ -129,11 +129,14 @@ def cantor_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     """The ordinary (non-commutative) ordinal sum a + b."""
     if b.is_zero:
         return a
-    e = b.terms[0][0]
-    terms = [(exp, c) for exp, c in a.terms if exp > e]
-    terms.append((e, a.coeff(e) + b.terms[0][1]))
-    terms.extend(b.terms[1:])
-    return Ordinal(tuple(terms))
+    e, c = b.terms[0]
+    head = []
+    for t in a.terms:  # one walk: keep a's terms above e, absorb the one at e
+        if t[0] <= e:
+            c += t[1] if t[0] == e else 0
+            break
+        head.append(t)
+    return Ordinal((*head, (e, c), *b.terms[1:]))
 
 
 def shuffle_sum(a: Ordinal, b: Ordinal) -> Ordinal:

@@ -186,6 +186,15 @@ class TestAgainstDefinitions:
     """Each binary operation equals its coefficient-wise definition."""
 
     @given(ordinals, ordinals)
+    def test_cantor_sum(self, a, b):
+        # a's terms below b's degree are absorbed; the rest add up
+        top = -1 if b.is_zero else b.degree
+        coeffs = {e: a.coeff(e) for e in a.support if e >= top}
+        for e in b.support:
+            coeffs[e] = coeffs.get(e, 0) + b.coeff(e)
+        assert cantor_sum(a, b) == Ordinal.from_coeffs(coeffs)
+
+    @given(ordinals, ordinals)
     def test_shuffle_sum(self, a, b):
         assert shuffle_sum(a, b) == Ordinal.from_coeffs(a.terms + b.terms)
 
