@@ -131,7 +131,7 @@ def cantor_sum(a: Ordinal, b: Ordinal) -> Ordinal:
         return a
     e, c = b.terms[0]
     head = []
-    for t in a.terms:  # one walk: keep a's terms above e, absorb the one at e
+    for t in a.terms:  # a's terms above e stay, the one at e adds to c, the rest vanish
         if t[0] <= e:
             c += t[1] if t[0] == e else 0
             break

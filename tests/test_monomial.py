@@ -34,11 +34,9 @@ def monomials_up_to(n, degree):
             yield Monomial(exps)
 
 
-def exponent_vectors(n, count):
-    return st.tuples(*[st.tuples(*[st.integers(0, 5)] * n)] * count)
-
-
-monomial_pairs = st.integers(1, 4).flatmap(lambda n: exponent_vectors(n, 2))
+monomial_pairs = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.integers(0, 5)] * n)] * 2)
+)
 generator_sets = st.integers(1, 3).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=8))
 )
@@ -80,7 +78,7 @@ class TestAgainstDefinitions:
         keys = [g.sort_key() for g in made.gens]
         assert keys == sorted(set(keys))
         for g, h in itertools.permutations(made.gens, 2):
-            assert not g.divides(h)
+            assert not all(x <= y for x, y in zip(g.exponents, h.exponents))
         for m in monomials_up_to(n, 5):
             member = any(all(x <= y for x, y in zip(g, m.exponents)) for g in gens)
             assert made.contains(m) == member
