@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordlen.chow import Cycle, prime, zero_cycle
+from ordlen.chow import Cycle, PrimeSupport, prime, zero_cycle
 from ordlen.cli import run_text
-from ordlen.errors import AmbientMismatchError, InvalidSubquotientError, ZeroModuleError
+from ordlen.errors import (
+    AmbientMismatchError,
+    InvalidSubquotientError,
+    SubmoduleSearchError,
+    ZeroModuleError,
+)
 from ordlen.invariants import (
     _slice,
     associated_primes,
@@ -25,10 +30,13 @@ from ordlen.monomial import (
     MonomialIdeal,
     SubquotientModule,
     colon,
+    ideal_sum,
     maximal_ideal,
     unit_ideal,
+    variable,
 )
-from ordlen.ordinal import ZERO, Ordinal, truncate_below, weaker
+from ordlen.oracle import STRESS_PROFILE, random_chain
+from ordlen.ordinal import ZERO, Ordinal, shuffle_sum, truncate_below, weaker
 
 
 def ideal(n, *exps):
@@ -222,6 +230,76 @@ class TestConstructSubmodule:
     def test_rejects_non_weaker_target(self):
         with pytest.raises(InvalidSubquotientError):
             construct_submodule_of_length(M3, Ordinal.omega_power(3))
+
+
+def scan_candidates(k, j, primes, bound):
+    """The plain degree-lex scan, as an oracle for the candidate stream:
+    every monomial x of degree at most bound with x outside k, x in j and
+    p*x inside k for one of the primes p, in Monomial.sort_key order."""
+    n = k.ambient_n
+    gens = [[variable(n, v) for v in sorted(p.vars)] for p in primes]
+
+    def exponents(d, r):
+        # the r-tuples summing to d, lexicographically decreasing
+        if r == 0:
+            if d == 0:
+                yield ()
+            return
+        for a in range(d, -1, -1):
+            for rest in exponents(d - a, r - 1):
+                yield (a, *rest)
+
+    for d in range(bound + 1):
+        for exps in exponents(d, n):
+            x = Monomial(exps)
+            if k.contains(x) or not j.contains(x):
+                continue
+            if any(all(k.contains(y.times(x)) for y in p) for p in gens):
+                yield x
+
+
+def scan_search(m, nu):
+    """construct_submodule_of_length's search with scan_candidates as its stream."""
+    mu = length(m)
+    if not weaker(nu, mu):
+        raise InvalidSubquotientError("target length is not weaker than the module length")
+    n = m.ambient_n
+    bound = max(m.lower.max_degree, m.upper.max_degree) + mu.valence
+    ass = sorted(associated_primes(m), key=PrimeSupport.sort_key)
+    k, target = m.lower, ZERO
+    for exp, coeff in nu.terms:
+        primes = [p for p in ass if p.dim == exp]
+        for _ in range(coeff):
+            target = shuffle_sum(target, Ordinal.omega_power(exp))
+            for x in scan_candidates(k, m.upper, primes, bound):
+                k2 = ideal_sum(k, MonomialIdeal.make(n, [x]))
+                if length(SubquotientModule(m.lower, k2)) == target:
+                    k = k2
+                    break
+            else:
+                raise SubmoduleSearchError("no witness within degree %d" % bound)
+    return k
+
+
+def search_outcome(search, m, nu):
+    try:
+        return search(m, nu)
+    except SubmoduleSearchError:
+        return SubmoduleSearchError
+
+
+def test_search_matches_the_scan(small_corpus):
+    # the same witness K, or the same failure, as the scan-driven search on
+    # every module at full length and at two seeded weaker targets
+    chains = [random_chain(s, STRESS_PROFILE) if s % 5 == 0 else random_chain(s) for s in range(100)]
+    modules = [m for m, _ in small_corpus + chains]
+    for idx, m in enumerate(modules):
+        mu = length(m)
+        rng = random.Random(idx)
+        weaker_targets = [Ordinal.from_coeffs({e: rng.randint(0, c) for e, c in mu.terms}) for _ in range(2)]
+        for nu in [mu, *weaker_targets]:
+            expected = search_outcome(scan_search, m, nu)
+            assert search_outcome(construct_submodule_of_length, m, nu) == expected
 
 
 def test_length_of_power_series_style_quotients():
