@@ -8,6 +8,8 @@ multiplicity at p copies of omega^dim(p).
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heappop, heappush
+from operator import le
 from typing import Iterator, NamedTuple
 
 from . import ordinal as ord_
@@ -22,6 +24,8 @@ from .monomial import (
     Monomial,
     MonomialIdeal,
     SubquotientModule,
+    _minimize,
+    colon,
     ideal_intersection,
     ideal_sum,
     prime_ideal,
@@ -32,69 +36,82 @@ from .monomial import (
 from .ordinal import Ordinal
 
 
-def _slice(i: MonomialIdeal, v: int, k: int) -> MonomialIdeal:
-    """The x_v-free part of (i : x_v^k).  An x_v-free m has x_v^k * m in i
-    iff some generator g of i has g_v <= k and divides m off x_v, so the
-    slice is generated by those g with g_v set to 0."""
-    gens = [g.exponents for g in i.gens if g.exponents[v] <= k]
-    return MonomialIdeal.make(i.ambient_n, [e[:v] + (0,) + e[v + 1 :] for e in gens])
+def _slices(gens: tuple, v: int, cuts: list[int]) -> list[tuple]:
+    """The x_v-free part of (I : x_v^k) for I generated by the antichain gens,
+    at each k of the ascending cuts, which hold every g_v (see _cycle)."""
+    entering: dict[int, list[tuple]] = {}
+    for g in gens:
+        entering.setdefault(g[v], []).append(g[:v] + (0,) + g[v + 1 :])
+    kept, out, cur = [], [], ()
+    for k in cuts:
+        if k in entering:
+            new = entering[k]
+            kept = [h for h in kept if not any(all(map(le, g, h)) for g in new)] + new
+            cur = tuple(sorted(sorted(kept, reverse=True), key=sum))
+        out.append(cur)
+    return out
 
 
 @lru_cache(maxsize=None)
-def fundamental_cycle(m: SubquotientModule) -> Cycle:
-    """The effective cycle summing local multiplicities at associated
-    primes, counted from the standard pairs of I.
+def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
+    """The fundamental cycle of J/I, for I <= J given by the antichains of
+    exponent tuples lower and upper in Monomial.sort_key order.
 
     By Sturmfels-Trung-Vogel (1995, Lemma 3.3), lcl_p(J/I) is the number
     of standard pairs (x^a, S) of I with S = vars - p and x^a in
     J : x_S^infinity.  The pairs are counted by recursion on one variable
     x_v of I, in the manner of Hosten-Thomas (1999): the monomials of
     x_v-degree k outside I are x_v^k times those outside the slice I_k,
-    which is read off the generators: an x_v-free m has x_v^k * m in I iff
-    some generator g of I has g_v <= k and divides m off x_v.
-    Pairs with x_v free are the pairs of the top slice (k at or past every
-    x_v exponent of I and J); pairs with x_v bound at degree k are the
-    pairs of I_k lying in J_k : x_S^infinity that are not already covered
-    by the top slice, i.e. those of the module (J_k cap I_top)/I_k.
-    Slices only change at generator exponents, so each run of equal
-    slices is counted once and weighted by its width.
+    the x_v-free part of I : x_v^k.  An x_v-free m has x_v^k * m in I iff
+    some generator g of I has g_v <= k and divides m off x_v, so I_k is
+    generated by those g with g_v set to 0.  Pairs with x_v free are the
+    pairs of the top slice (k at or past every x_v exponent of I and J);
+    pairs with x_v bound at degree k are the pairs of I_k lying in
+    J_k : x_S^infinity that are not already covered by the top slice,
+    i.e. those of the module (J_k cap I_top)/I_k.  Slices only change at
+    generator exponents, so each run of equal slices is counted once and
+    weighted by its width.
+
+    _slices sweeps the cuts upwards.  The generators entering at cut k all
+    have g_v = k, so none of them divides another or one already in: that
+    would make one generator of I divide another.  So a cut only drops the
+    old generators that a new one divides, with no full minimisation.
     """
-    n = m.ambient_n
-    if m.is_zero:
+    if all(any(all(map(le, g, h)) for g in lower) for h in upper):
         return zero_cycle(n)
-    if m.lower.is_zero:
+    if not lower:
         # the single standard pair (1, vars) of the zero ideal
-        return Cycle.from_terms(n, {PrimeSupport(n, frozenset()): 1})
-    v = max(j for g in m.lower.gens for j, e in enumerate(g.exponents) if e)
-    cuts = sorted({0} | {g.exponents[v] for g in m.lower.gens + m.upper.gens})
-    top = _slice(m.lower, v, cuts[-1])
-    terms = list(fundamental_cycle(SubquotientModule(top, _slice(m.upper, v, cuts[-1]))).terms)
-    for k, nxt in zip(cuts, cuts[1:]):
-        lower_k = _slice(m.lower, v, k)
-        upper_k = ideal_intersection(_slice(m.upper, v, k), top)
-        for p, c in fundamental_cycle(SubquotientModule(lower_k, upper_k)).terms:
+        return Cycle(n, ((PrimeSupport(n, frozenset()), 1),))
+    v = max(j for g in lower for j, e in enumerate(g) if e)
+    cuts = sorted({0} | {g[v] for g in lower + upper})
+    lows, ups = _slices(lower, v, cuts), _slices(upper, v, cuts)
+    top = lows[-1]
+    terms = list(_cycle(n, top, ups[-1]).terms)
+    for k, nxt, low, up in zip(cuts, cuts[1:], lows, ups):
+        # a generator of J_k inside I_top stands in for all of its lcms
+        inside = {f for f in up if any(all(map(le, g, f)) for g in top)}
+        lcms = [tuple(map(max, f, g)) for f in up if f not in inside for g in top]
+        for p, c in _cycle(n, low, _minimize(inside.union(lcms))).terms:
             terms.append((PrimeSupport(n, p.vars | {v}), (nxt - k) * c))
     return Cycle.from_terms(n, terms)
 
 
-def local_multiplicity(m: SubquotientModule, p: PrimeSupport) -> int:
-    """Length of the p-torsion of (J/I) localized at p.
+def fundamental_cycle(m: SubquotientModule) -> Cycle:
+    """The effective cycle of local multiplicities at associated primes (see _cycle)."""
+    return _cycle(m.ambient_n, *(tuple(g.exponents for g in i.gens) for i in (m.lower, m.upper)))
 
-    This is the number of standard pairs (x^a, S) of I with free set
-    S = vars - p and x^a in J : x_S^infinity (Sturmfels-Trung-Vogel 1995,
-    Lemma 3.3), read from the slice count of the whole cycle.
-    """
+
+def local_multiplicity(m: SubquotientModule, p: PrimeSupport) -> int:
+    """Length of the p-torsion of (J/I) localized at p, read from the
+    standard-pair count of the fundamental cycle (see _cycle)."""
     if p.ambient_n != m.ambient_n:
         raise AmbientMismatchError("prime over a different ring")
     return fundamental_cycle(m).coeff(p)
 
 
 def associated_primes(m: SubquotientModule) -> frozenset[PrimeSupport]:
-    """All monomial primes with positive local multiplicity.
-
-    These are the primes vars - S of the standard pairs (x^a, S) of I
-    counted by the slice count (Sturmfels-Trung-Vogel 1995, Lemma 3.3).
-    """
+    """All monomial primes with positive local multiplicity: the primes
+    vars - S of the standard pairs (x^a, S) of I counted by _cycle."""
     return fundamental_cycle(m).support
 
 
@@ -129,14 +146,7 @@ def basic_invariants(m: SubquotientModule) -> ModuleInvariants:
     fc = fundamental_cycle(m)
     generic = sum(c for p, c in fc.terms if p.dim == dimension)
     antichain = not any(p.vars < q.vars for p in ass for q in ass)
-    return ModuleInvariants(
-        order=order,
-        valence=fc.degree,
-        generic_length=generic,
-        dimension=dimension,
-        is_unmixed=order == dimension,
-        no_embedded_primes=antichain,
-    )
+    return ModuleInvariants(order, fc.degree, generic, dimension, order == dimension, antichain)
 
 
 def dimension_filtration(m: SubquotientModule, i: int) -> SubquotientModule:
@@ -167,22 +177,22 @@ def cycle_defect(m: SubquotientModule, inner_upper: MonomialIdeal) -> Cycle:
     return cycle_sub(cycle_add(n_part, q_part), fundamental_cycle(m))
 
 
-def _monomials_up_to(n: int, bound: int) -> Iterator[Monomial]:
-    """The monomials of degree at most bound, lazily, in Monomial.sort_key order."""
-
-    def exponents(d: int, k: int) -> Iterator[tuple[int, ...]]:
-        # the k-tuples summing to d, lexicographically decreasing
-        if k == 0:
-            if d == 0:
-                yield ()
+def _candidates(k: MonomialIdeal, j: MonomialIdeal, primes: list, bound: int) -> Iterator[Monomial]:
+    """The monomials of degree at most bound in (K : p) cap J outside K for one
+    of the primes p, lazily, in Monomial.sort_key order (see construct_submodule_of_length)."""
+    heap, seen = [], set()
+    steps = [variable(k.ambient_n, v) for v in range(k.ambient_n)]
+    todo = [g for p in primes for g in ideal_intersection(colon(k, prime_ideal(p)), j).gens]
+    while True:
+        for x in todo:
+            if x not in seen and x.degree <= bound and not k.contains(x):
+                seen.add(x)
+                heappush(heap, (x.sort_key(), x))
+        if not heap:
             return
-        for a in range(d, -1, -1):
-            for rest in exponents(d - a, k - 1):
-                yield (a, *rest)
-
-    for d in range(bound + 1):
-        for exps in exponents(d, n):
-            yield Monomial(exps)
+        x = heappop(heap)[1]
+        yield x
+        todo = [x.times(y) for y in steps]
 
 
 def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> MonomialIdeal:
@@ -202,6 +212,14 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
     raises lcl_p by exactly 1 and no other lcl_q, so the scan meets a
     witness.  Only the degree bound can hide it; failure within the bound
     is a hard error, never a silent widening of the bound.
+
+    The candidates x are the monomials of L_p = (K : p) cap J outside K,
+    taken from a heap (see _candidates) rather than a scan of every
+    monomial.  Every y in L_p - K is reached from a generator of L_p that
+    divides it, through divisors of y: those lie in L_p, and outside K,
+    since a divisor in K would put y in K.  A push multiplies by one
+    variable and so only raises the degree; hence the heap yields the
+    candidates of the scan in the scan's order.
     """
     mu = length(m)
     if not ord_.weaker(nu, mu):
@@ -209,17 +227,12 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
     n = m.ambient_n
     bound = max(m.lower.max_degree, m.upper.max_degree) + mu.valence
     ass = sorted(associated_primes(m), key=PrimeSupport.sort_key)
-    k = m.lower
-    target = ord_.ZERO
+    k, target = m.lower, ord_.ZERO
     for exp, coeff in nu.terms:
-        primes = [[variable(n, v) for v in sorted(p.vars)] for p in ass if p.dim == exp]
+        primes = [p for p in ass if p.dim == exp]
         for _ in range(coeff):
             target = ord_.shuffle_sum(target, Ordinal.omega_power(exp))
-            for x in _monomials_up_to(n, bound):
-                if k.contains(x) or not m.upper.contains(x):
-                    continue
-                if not any(all(k.contains(y.times(x)) for y in p) for p in primes):
-                    continue
+            for x in _candidates(k, m.upper, primes, bound):
                 k2 = ideal_sum(k, MonomialIdeal.make(n, [x]))
                 if length(SubquotientModule(m.lower, k2)) == target:
                     k = k2

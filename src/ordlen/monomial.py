@@ -66,13 +66,13 @@ def variable(n: int, i: int) -> Monomial:
     return Monomial(tuple(1 if j == i else 0 for j in range(n)))
 
 
-def _minimize(exps: Iterable[tuple[int, ...]]) -> tuple[Monomial, ...]:
+def _minimize(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     # Monomial.sort_key order: by degree, ties lexicographically decreasing
     kept: list[tuple[int, ...]] = []
     for e in sorted(sorted(set(exps), reverse=True), key=sum):
         if not any(all(map(le, h, e)) for h in kept):
             kept.append(e)
-    return tuple(map(Monomial, kept))
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class MonomialIdeal:
     @classmethod
     def make(cls, ambient_n: int, gens: Iterable[Monomial | tuple[int, ...]]) -> MonomialIdeal:
         exps = [g.exponents if isinstance(g, Monomial) else tuple(g) for g in gens]
-        return cls(ambient_n, _minimize(exps))
+        return cls(ambient_n, tuple(map(Monomial, _minimize(exps))))
 
     @property
     def is_zero(self) -> bool:

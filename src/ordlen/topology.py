@@ -23,9 +23,10 @@ from .monomial import (
     MonomialIdeal,
     SubquotientModule,
     ideal_intersection,
-    ideal_power,
+    ideal_product,
     ideal_sum,
     prime_ideal,
+    unit_ideal,
 )
 
 DEFAULT_POWER_CAP = 32
@@ -87,8 +88,10 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
             pid = prime_ideal(p)
             a = pid if a is None else ideal_intersection(a, pid)
     assert a is not None
+    power = unit_ideal(r_mod.ambient_n)
     for n in range(1, cap + 1):
-        k = ideal_sum(ideal_power(a, n), r_mod.lower)
+        power = ideal_product(power, a)  # a^n, carried forward
+        k = ideal_sum(power, r_mod.lower)
         if is_i_open(r_mod, k, e):
             return EOpenPower(n, k)
     raise ResourceCapError("no e-open power of the ideal found up to the cap %d" % cap)

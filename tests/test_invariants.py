@@ -14,7 +14,8 @@ from ordlen.errors import (
     ZeroModuleError,
 )
 from ordlen.invariants import (
-    _slice,
+    _candidates,
+    _slices,
     associated_primes,
     basic_invariants,
     construct_submodule_of_length,
@@ -35,7 +36,7 @@ from ordlen.monomial import (
     unit_ideal,
     variable,
 )
-from ordlen.oracle import STRESS_PROFILE, random_chain
+from ordlen.oracle import STRESS_PROFILE, oracle_artinian_length, random_chain
 from ordlen.ordinal import ZERO, Ordinal, shuffle_sum, truncate_below, weaker
 
 
@@ -281,6 +282,25 @@ def scan_search(m, nu):
     return k
 
 
+candidate_cases = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5),
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=3),
+        st.lists(st.frozensets(st.integers(0, n - 1)), max_size=3),
+        st.integers(0, 7),
+    )
+)
+
+
+@given(candidate_cases)
+def test_candidates_are_the_scan(case):
+    n, k_gens, j_gens, prime_vars, bound = case
+    k, j = MonomialIdeal.make(n, k_gens), MonomialIdeal.make(n, j_gens)
+    primes = [PrimeSupport(n, vs) for vs in prime_vars]
+    assert list(_candidates(k, j, primes, bound)) == list(scan_candidates(k, j, primes, bound))
+
+
 def search_outcome(search, m, nu):
     try:
         return search(m, nu)
@@ -300,6 +320,21 @@ def test_search_matches_the_scan(small_corpus):
         for nu in [mu, *weaker_targets]:
             expected = search_outcome(scan_search, m, nu)
             assert search_outcome(construct_submodule_of_length, m, nu) == expected
+
+
+class TestDeepSearch:
+    """Searches whose first witness lies far up the degree-lex order."""
+
+    def test_hundred_in_six_variables(self):
+        # R/(a^6, ..., f^6, abcdef): the first witness of length 1 has degree 25
+        m = ring_mod(6, *[tuple(6 if j == i else 0 for j in range(6)) for i in range(6)], (1,) * 6)
+        k = construct_submodule_of_length(m, Ordinal.from_int(100))
+        assert k.contains_ideal(m.lower)
+        assert oracle_artinian_length(m.submodule(k)) == 100
+
+    def test_full_length_in_two_variables(self):
+        m = ring_mod(2, (20, 0), (0, 20))
+        assert construct_submodule_of_length(m, length(m)) == unit_ideal(2)
 
 
 def test_length_of_power_series_style_quotients():
@@ -337,19 +372,23 @@ slice_cases = st.integers(1, 4).flatmap(
         st.just(n),
         st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=8),
         st.integers(0, n - 1),
-        st.integers(0, 6),
+        st.sets(st.integers(0, 7), max_size=3),
     )
 )
 
 
 @given(slice_cases)
 def test_slice_is_the_free_part_of_the_colon(case):
-    # the x_v-free generators of (i : x_v^k), the slice's definition
-    n, gens, v, k = case
+    # every cut's slice is the x_v-free generators of (i : x_v^k), the
+    # slice's definition; the cuts are 0, every g_v and some extra values
+    n, gens, v, extra = case
     i = MonomialIdeal.make(n, gens)
-    x_v_k = MonomialIdeal(n, (Monomial(tuple(k if j == v else 0 for j in range(n))),))
-    expected = MonomialIdeal(n, tuple(g for g in colon(i, x_v_k).gens if not g.exponents[v]))
-    assert _slice(i, v, k) == expected
+    exps = tuple(g.exponents for g in i.gens)
+    cuts = sorted({0} | {e[v] for e in exps} | extra)
+    for k, got in zip(cuts, _slices(exps, v, cuts), strict=True):
+        x_v_k = MonomialIdeal(n, (Monomial(tuple(k if j == v else 0 for j in range(n))),))
+        expected = tuple(g.exponents for g in colon(i, x_v_k).gens if not g.exponents[v])
+        assert got == expected
 
 
 def fixed_degree(n, g, d):
