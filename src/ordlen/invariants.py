@@ -37,8 +37,7 @@ from .ordinal import Ordinal
 
 
 def _slices(gens: tuple, v: int, cuts: list[int]) -> list[tuple]:
-    """The x_v-free part of (I : x_v^k) for I generated by the antichain gens,
-    at each k of the ascending cuts, which hold every g_v (see _cycle)."""
+    """Each slice I_k of the antichain gens, for the ascending cuts k (see _cycle)."""
     entering: dict[int, list[tuple]] = {}
     for g in gens:
         entering.setdefault(g[v], []).append(g[:v] + (0,) + g[v + 1 :])
@@ -54,8 +53,7 @@ def _slices(gens: tuple, v: int, cuts: list[int]) -> list[tuple]:
 
 @lru_cache(maxsize=None)
 def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
-    """The fundamental cycle of J/I, for I <= J given by the antichains of
-    exponent tuples lower and upper in Monomial.sort_key order.
+    """The fundamental cycle of J/I for the exponent-tuple antichains of I <= J.
 
     By Sturmfels-Trung-Vogel (1995, Lemma 3.3), lcl_p(J/I) is the number
     of standard pairs (x^a, S) of I with S = vars - p and x^a in
@@ -72,10 +70,10 @@ def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
     generator exponents, so each run of equal slices is counted once and
     weighted by its width.
 
-    _slices sweeps the cuts upwards.  The generators entering at cut k all
-    have g_v = k, so none of them divides another or one already in: that
-    would make one generator of I divide another.  So a cut only drops the
-    old generators that a new one divides, with no full minimisation.
+    _slices sweeps the cuts, which hold every g_v, upwards.  The generators
+    entering at cut k all have g_v = k, so none divides another or one
+    already in, or one generator of I would divide another.  A cut only
+    drops the old generators that a new one divides: no full minimisation.
     """
     if all(any(all(map(le, g, h)) for g in lower) for h in upper):
         return zero_cycle(n)
@@ -146,7 +144,14 @@ def basic_invariants(m: SubquotientModule) -> ModuleInvariants:
     fc = fundamental_cycle(m)
     generic = sum(c for p, c in fc.terms if p.dim == dimension)
     antichain = not any(p.vars < q.vars for p in ass for q in ass)
-    return ModuleInvariants(order, fc.degree, generic, dimension, order == dimension, antichain)
+    return ModuleInvariants(
+        order=order,
+        valence=fc.degree,
+        generic_length=generic,
+        dimension=dimension,
+        is_unmixed=order == dimension,
+        no_embedded_primes=antichain,
+    )
 
 
 def dimension_filtration(m: SubquotientModule, i: int) -> SubquotientModule:
@@ -178,8 +183,7 @@ def cycle_defect(m: SubquotientModule, inner_upper: MonomialIdeal) -> Cycle:
 
 
 def _candidates(k: MonomialIdeal, j: MonomialIdeal, primes: list, bound: int) -> Iterator[Monomial]:
-    """The monomials of degree at most bound in (K : p) cap J outside K for one
-    of the primes p, lazily, in Monomial.sort_key order (see construct_submodule_of_length)."""
+    """Monomials of degree <= bound outside K in some (K : p) cap J, in sort_key order."""
     heap, seen = [], set()
     steps = [variable(k.ambient_n, v) for v in range(k.ambient_n)]
     todo = [g for p in primes for g in ideal_intersection(colon(k, prime_ideal(p)), j).gens]
@@ -213,18 +217,15 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
     witness.  Only the degree bound can hide it; failure within the bound
     is a hard error, never a silent widening of the bound.
 
-    The candidates x are the monomials of L_p = (K : p) cap J outside K,
-    taken from a heap (see _candidates) rather than a scan of every
-    monomial.  Every y in L_p - K is reached from a generator of L_p that
-    divides it, through divisors of y: those lie in L_p, and outside K,
-    since a divisor in K would put y in K.  A push multiplies by one
-    variable and so only raises the degree; hence the heap yields the
-    candidates of the scan in the scan's order.
+    The candidates x are those of L_p = (K : p) cap J outside K, popped
+    from a heap (_candidates).  Every y in L_p - K is reached from a
+    generator of L_p dividing it through divisors of y, which lie in L_p
+    and outside K (a divisor in K would put y in K).  Pushes only raise
+    the degree, so the heap yields the scan's candidates in its order.
     """
     mu = length(m)
     if not ord_.weaker(nu, mu):
         raise InvalidSubquotientError("target length is not weaker than the module length")
-    n = m.ambient_n
     bound = max(m.lower.max_degree, m.upper.max_degree) + mu.valence
     ass = sorted(associated_primes(m), key=PrimeSupport.sort_key)
     k, target = m.lower, ord_.ZERO
@@ -233,7 +234,7 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
         for _ in range(coeff):
             target = ord_.shuffle_sum(target, Ordinal.omega_power(exp))
             for x in _candidates(k, m.upper, primes, bound):
-                k2 = ideal_sum(k, MonomialIdeal.make(n, [x]))
+                k2 = ideal_sum(k, MonomialIdeal.make(m.ambient_n, [x]))
                 if length(SubquotientModule(m.lower, k2)) == target:
                     k = k2
                     break
