@@ -7,9 +7,9 @@ multiplicity at p copies of omega^dim(p).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heappop, heappush
-from operator import le
+from operator import le, neg
 from typing import Iterator, NamedTuple
 
 from . import ordinal as ord_
@@ -21,17 +21,14 @@ from .errors import (
     ZeroModuleError,
 )
 from .monomial import (
-    Monomial,
     MonomialIdeal,
     SubquotientModule,
     _minimize,
-    colon,
     ideal_intersection,
     ideal_sum,
     prime_ideal,
     saturation,
     unit_ideal,
-    variable,
 )
 from .ordinal import Ordinal
 
@@ -164,9 +161,8 @@ def dimension_filtration(m: SubquotientModule, i: int) -> SubquotientModule:
     if i < -1:
         raise ValueError("filtration index must be >= -1")
     low = [p for p in associated_primes(m) if p.dim <= i]
-    a = unit_ideal(m.ambient_n)
-    for p in sorted(low, key=PrimeSupport.sort_key):
-        a = ideal_intersection(a, prime_ideal(p))
+    primes = map(prime_ideal, sorted(low, key=PrimeSupport.sort_key))
+    a = reduce(ideal_intersection, primes, unit_ideal(m.ambient_n))
     k = ideal_sum(ideal_intersection(saturation(m.lower, a), m.upper), m.lower)
     return SubquotientModule(m.lower, k)
 
@@ -182,21 +178,36 @@ def cycle_defect(m: SubquotientModule, inner_upper: MonomialIdeal) -> Cycle:
     return cycle_sub(cycle_add(n_part, q_part), fundamental_cycle(m))
 
 
-def _candidates(k: MonomialIdeal, j: MonomialIdeal, primes: list, bound: int) -> Iterator[Monomial]:
-    """Monomials of degree <= bound outside K in some (K : p) cap J, in sort_key order."""
-    heap, seen = [], set()
-    steps = [variable(k.ambient_n, v) for v in range(k.ambient_n)]
-    todo = [g for p in primes for g in ideal_intersection(colon(k, prime_ideal(p)), j).gens]
+def _socle(kg: tuple, j: tuple, p: PrimeSupport) -> list[tuple]:
+    """The generators of (K : p) cap J outside K, for the antichains kg and j.
+
+    K : x_i = K + D_i, D_i generated by g - e_i for the generators g of K
+    with g_i > 0, and by distributivity K : p = K + (the meet of the D_i,
+    i in p).  lcm(e, g - e_i) is a multiple of g, so in K, exactly when
+    e_i >= g_i: those pairs are skipped.  Dropping members of K at any
+    stage loses nothing: each y outside K in J cap D_i1 cap ... lies over
+    an lcm of members below y, all outside K.
+    """
+    out = j
+    for i in p.vars:
+        lowered = [g[:i] + (g[i] - 1,) + g[i + 1 :] for g in kg if g[i]]
+        out = _minimize(tuple(map(max, e, h)) for h in lowered for e in out if e[i] <= h[i])
+    return [e for e in out if not any(all(map(le, g, e)) for g in kg)]
+
+
+def _candidates(kg: tuple, j: tuple, primes: list, bound: int) -> Iterator[tuple]:
+    """Exponent tuples of degree <= bound outside K in some (K : p) cap J, in sort_key order."""
+    heap, seen, todo = [], set(), [x for p in primes for x in _socle(kg, j, p)]
     while True:
         for x in todo:
-            if x not in seen and x.degree <= bound and not k.contains(x):
+            if x not in seen and sum(x) <= bound and not any(all(map(le, g, x)) for g in kg):
                 seen.add(x)
-                heappush(heap, (x.sort_key(), x))
+                heappush(heap, (sum(x), tuple(map(neg, x))))
         if not heap:
             return
-        x = heappop(heap)[1]
+        x = tuple(map(neg, heappop(heap)[1]))
         yield x
-        todo = [x.times(y) for y in steps]
+        todo = [x[:v] + (x[v] + 1,) + x[v + 1 :] for v in range(len(x))]
 
 
 def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> MonomialIdeal:
@@ -217,30 +228,29 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
     witness.  Only the degree bound can hide it; failure within the bound
     is a hard error, never a silent widening of the bound.
 
-    The candidates x are those of L_p = (K : p) cap J outside K, popped
-    from a heap (_candidates).  Every y in L_p - K is reached from a
-    generator of L_p dividing it through divisors of y, which lie in L_p
-    and outside K (a divisor in K would put y in K).  Pushes only raise
-    the degree, so the heap yields the scan's candidates in its order.
+    The candidates x are those of L_p = (K : p) cap J outside K, seeded
+    by _socle into a heap (_candidates).  Every y in L_p - K is reached from
+    a generator of L_p dividing it through divisors of y, which lie in L_p
+    and outside K (a divisor in K would put y in K).  Pushes only raise the
+    degree, so the heap yields the scan's candidates in its order.
     """
     mu = length(m)
     if not ord_.weaker(nu, mu):
         raise InvalidSubquotientError("target length is not weaker than the module length")
     bound = max(m.lower.max_degree, m.upper.max_degree) + mu.valence
     ass = sorted(associated_primes(m), key=PrimeSupport.sort_key)
-    k, target = m.lower, ord_.ZERO
+    low, up = (tuple(g.exponents for g in i.gens) for i in (m.lower, m.upper))
+    kg, target = low, ord_.ZERO
     for exp, coeff in nu.terms:
         primes = [p for p in ass if p.dim == exp]
         for _ in range(coeff):
             target = ord_.shuffle_sum(target, Ordinal.omega_power(exp))
-            for x in _candidates(k, m.upper, primes, bound):
-                k2 = ideal_sum(k, MonomialIdeal.make(m.ambient_n, [x]))
-                if length(SubquotientModule(m.lower, k2)) == target:
-                    k = k2
+            for x in _candidates(kg, up, primes, bound):
+                k2 = _minimize(kg + (x,))
+                if binord(_cycle(m.ambient_n, low, k2)) == target:
+                    kg = k2
                     break
             else:
-                raise SubmoduleSearchError(
-                    "no monomial submodule of length %s found within degree %d (module %r)"
-                    % (target, bound, m)
-                )
-    return k
+                msg = "no monomial submodule of length %s found within degree %d (module %r)"
+                raise SubmoduleSearchError(msg % (target, bound, m))
+    return MonomialIdeal.make(m.ambient_n, kg)

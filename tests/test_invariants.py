@@ -1,4 +1,5 @@
 import io
+import os
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from ordlen.errors import (
 from ordlen.invariants import (
     _candidates,
     _slices,
+    _socle,
     associated_primes,
     basic_invariants,
     construct_submodule_of_length,
@@ -31,8 +33,10 @@ from ordlen.monomial import (
     MonomialIdeal,
     SubquotientModule,
     colon,
+    ideal_intersection,
     ideal_sum,
     maximal_ideal,
+    prime_ideal,
     unit_ideal,
     variable,
 )
@@ -293,12 +297,39 @@ candidate_cases = st.integers(1, 3).flatmap(
 )
 
 
+def exponents_of(i):
+    return tuple(g.exponents for g in i.gens)
+
+
 @given(candidate_cases)
 def test_candidates_are_the_scan(case):
     n, k_gens, j_gens, prime_vars, bound = case
     k, j = MonomialIdeal.make(n, k_gens), MonomialIdeal.make(n, j_gens)
     primes = [PrimeSupport(n, vs) for vs in prime_vars]
-    assert list(_candidates(k, j, primes, bound)) == list(scan_candidates(k, j, primes, bound))
+    got = list(_candidates(exponents_of(k), exponents_of(j), primes, bound))
+    assert got == [x.exponents for x in scan_candidates(k, j, primes, bound)]
+
+
+socle_cases = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=6),
+        st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=4),
+        st.frozensets(st.integers(0, n - 1)),
+    )
+)
+
+
+@given(socle_cases)
+def test_socle_is_the_colon_outside_k(case):
+    # the seeds are the generators of (K : p) cap J outside K, with colon
+    # as the definition; K need not lie in J, and p may be the zero prime
+    n, k_gens, j_gens, vs = case
+    k, j = MonomialIdeal.make(n, k_gens), MonomialIdeal.make(n, j_gens)
+    p = PrimeSupport(n, vs)
+    gens = ideal_intersection(colon(k, prime_ideal(p)), j).gens
+    expected = [g.exponents for g in gens if not k.contains(g)]
+    assert _socle(exponents_of(k), exponents_of(j), p) == expected
 
 
 def search_outcome(search, m, nu):
@@ -335,6 +366,24 @@ class TestDeepSearch:
     def test_full_length_in_two_variables(self):
         m = ring_mod(2, (20, 0), (0, 20))
         assert construct_submodule_of_length(m, length(m)) == unit_ideal(2)
+
+    STAIRCASE = "ring a,b,c,d,e,f\nI = a^6, b^6, c^6, d^6, e^6, f^6, a*b*c*d*e*f\n"
+
+    def check_cli_search(self, target):
+        # len K/I on the printed witness K exits 0 only if I <= K, and prints the target
+        out = io.StringIO()
+        assert run_text(self.STAIRCASE + "submodlen I %d\n" % target, out=out) == 0
+        check = self.STAIRCASE + "K = %s\nlen K/I\n" % out.getvalue().strip().strip("()")
+        out = io.StringIO()
+        assert run_text(check, out=out) == 0
+        assert out.getvalue() == "len K/I = %d\n" % target
+
+    def test_thousand_through_the_cli(self):
+        self.check_cli_search(1000)
+
+    @pytest.mark.skipif(not os.environ.get("ORDLEN_STRESS"), reason="set ORDLEN_STRESS to enable")
+    def test_three_thousand_through_the_cli(self):
+        self.check_cli_search(3000)
 
 
 def test_length_of_power_series_style_quotients():
