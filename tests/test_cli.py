@@ -136,6 +136,28 @@ class TestGoldenJson:
         assert run(self.PRELUDE + command + "\n") == (0, text + "\n", "")
         assert run(self.PRELUDE + command + "\n", as_json=True) == (0, json_line + "\n", "")
 
+    # the filtration and closure of a J/I with J != (1) and of R/0 in the same
+    # two forms; these pin the generator order of each ideal through rendering
+    J_OVER_I = "ring x,y,z\nI = x^2*y, x*y^2, x*z^3\nJ = x*y, z^2\n"
+    ZERO_IDEAL = "ring x,y\nI = 0\n"
+    FILTRATIONS = [
+        (J_OVER_I + "filtration J/I", "(x*y, x*z^3) ⊆ (x*y, x*z^2) ⊆ (x*y, z^2)",
+         '{"cmd": "filtration", "module": "J/I", "ideals": '
+         '[["x*y", "x*z^3"], ["x*y", "x*z^2"], ["x*y", "z^2"]]}'),
+        (J_OVER_I + "closure J/I I", "(x*y, x*z^3)",
+         '{"cmd": "closure", "module": "J/I", "submodule": "(x^2*y, x*y^2, x*z^3)", '
+         '"ideal": ["x*y", "x*z^3"]}'),
+        (ZERO_IDEAL + "filtration I", "(0) ⊆ (0) ⊆ (1)",
+         '{"cmd": "filtration", "module": "R/I", "ideals": [[], [], ["1"]]}'),
+        (ZERO_IDEAL + "closure I I", "(0)",
+         '{"cmd": "closure", "module": "R/I", "submodule": "(0)", "ideal": []}'),
+    ]
+
+    @pytest.mark.parametrize("script,text,json_line", FILTRATIONS)
+    def test_filtration_and_closure_raw_output(self, script, text, json_line):
+        assert run(script + "\n") == (0, text + "\n", "")
+        assert run(script + "\n", as_json=True) == (0, json_line + "\n", "")
+
     def test_every_line_is_json(self):
         code, out, _ = run(EXAMPLE, as_json=True)
         assert code == 0

@@ -1,9 +1,10 @@
 import io
 import os
 import random
+from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ordlen.chow import Cycle, PrimeSupport, prime, zero_cycle
@@ -37,8 +38,10 @@ from ordlen.monomial import (
     ideal_sum,
     maximal_ideal,
     prime_ideal,
+    saturation,
     unit_ideal,
     variable,
+    zero_ideal,
 )
 from ordlen.oracle import STRESS_PROFILE, oracle_artinian_length, random_chain
 from ordlen.ordinal import ZERO, Ordinal, shuffle_sum, truncate_below, weaker
@@ -176,6 +179,39 @@ class TestDimensionFiltration:
         m = ring_mod(3, (1, 1, 0), (0, 2, 1), (2, 0, 2))
         for i in range(-1, 4):
             assert length(dimension_filtration(m, i)) == truncate_below(length(m), i)
+
+    def test_zero_prime_saturates_to_the_unit_ideal(self):
+        # the only associated prime of R/0 is (0), and 0 : (0)^infinity = (1)
+        m = SubquotientModule.quotient_ring(zero_ideal(2))
+        pieces = [dimension_filtration(m, i).upper for i in range(-1, 3)]
+        assert pieces == [zero_ideal(2)] * 3 + [unit_ideal(2)]
+
+
+def filtration_definition(m, i):
+    """The K of dimension_filtration(m, i) through the public ideal operations."""
+    primes = sorted((p for p in associated_primes(m) if p.dim <= i), key=PrimeSupport.sort_key)
+    a = reduce(ideal_intersection, map(prime_ideal, primes), unit_ideal(m.ambient_n))
+    return ideal_sum(ideal_intersection(saturation(m.lower, a), m.upper), m.lower)
+
+
+filtration_cases = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=5),
+        st.none() | st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=4),
+    )
+)
+
+
+@given(filtration_cases)
+@example((2, [], None))  # R/0: its one prime (0) saturates 0 to (1)
+def test_filtration_is_its_definition(case):
+    # I is cut back into J, so I <= J; J = None is the unit ideal
+    n, i_gens, j_gens = case
+    j = unit_ideal(n) if j_gens is None else MonomialIdeal.make(n, j_gens)
+    m = SubquotientModule(ideal_intersection(MonomialIdeal.make(n, i_gens), j), j)
+    for i in range(-1, n + 1):
+        assert dimension_filtration(m, i).upper == filtration_definition(m, i)
 
 
 class TestCycleDefect:

@@ -1,10 +1,28 @@
+from functools import reduce
+
 import pytest
 
 from ordlen.errors import OrdlenError, ResourceCapError, ZeroModuleError
-from ordlen.invariants import construct_submodule_of_length, length
-from ordlen.monomial import MonomialIdeal, SubquotientModule, maximal_ideal, unit_ideal
+from ordlen.invariants import (
+    associated_primes,
+    basic_invariants,
+    construct_submodule_of_length,
+    length,
+)
+from ordlen.monomial import (
+    MonomialIdeal,
+    SubquotientModule,
+    ideal_intersection,
+    ideal_product,
+    ideal_sum,
+    maximal_ideal,
+    prime_ideal,
+    unit_ideal,
+)
 from ordlen.ordinal import Ordinal
 from ordlen.topology import (
+    DEFAULT_POWER_CAP,
+    EOpenPower,
     closure,
     find_e_open_power,
     hom_vanishes,
@@ -127,6 +145,37 @@ class TestEOpenPower:
     def test_zero_module(self):
         with pytest.raises(ZeroModuleError):
             find_e_open_power(SubquotientModule.quotient_ring(unit_ideal(2)))
+
+
+def e_open_reference(r_mod, cap):
+    """The least power of a with (a^n + I)/I e-open, by ideal operations and is_i_open."""
+    e = basic_invariants(r_mod).order
+    primes = [prime_ideal(p) for p in associated_primes(r_mod) if p.dim == e]
+    # the order is the least dimension of an associated prime, so one has dimension e
+    assert primes
+    a, power = reduce(ideal_intersection, primes), unit_ideal(r_mod.ambient_n)
+    for n in range(1, cap + 1):
+        power = ideal_product(power, a)
+        k = ideal_sum(power, r_mod.lower)
+        if is_i_open(r_mod, k, e):
+            return EOpenPower(n, k)
+    return ResourceCapError
+
+
+def e_open_outcome(r_mod, cap):
+    try:
+        return find_e_open_power(r_mod, cap)
+    except ResourceCapError:
+        return ResourceCapError
+
+
+def test_e_open_power_matches_the_reference(chain_corpus):
+    # the same n and ideal, or both out of budget, at the default cap and at caps 1-3
+    rings = [m for m, _ in chain_corpus if m.upper.is_unit and not m.is_zero]
+    assert rings
+    for r_mod in rings:
+        for cap in (DEFAULT_POWER_CAP, 1, 2, 3):
+            assert e_open_outcome(r_mod, cap) == e_open_reference(r_mod, cap)
 
 
 class TestHomVanishing:
