@@ -7,7 +7,7 @@ multiplicity at p copies of omega^dim(p).
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from heapq import heappop, heappush
 from operator import le, neg
 from typing import Iterator, NamedTuple
@@ -24,11 +24,7 @@ from .monomial import (
     MonomialIdeal,
     SubquotientModule,
     _minimize,
-    ideal_intersection,
-    ideal_sum,
-    prime_ideal,
-    saturation,
-    unit_ideal,
+    _pairwise,
 )
 from .ordinal import Ordinal
 
@@ -154,16 +150,24 @@ def basic_invariants(m: SubquotientModule) -> ModuleInvariants:
 def dimension_filtration(m: SubquotientModule, i: int) -> SubquotientModule:
     """The largest submodule of J/I of dimension at most i, as a pair (I, K).
 
-    K is the saturation of I at the intersection of the associated primes
-    of dimension at most i, cut back into J; with no such primes the
-    result is the zero submodule (K = I).
+    K = (I : a^infinity) cap J for a the intersection of the associated
+    primes of dimension at most i; it contains I, as I <= J.  Saturation
+    depends only on the radical, so I : (p cap q)^infinity =
+    (I : p^infinity) : q^infinity, one prime at a time; and I : p^infinity
+    is the meet, over the x_v in p, of I with x_v set to 1.  The zero prime
+    gives the empty meet, the unit ideal.  With no such primes the result
+    is the zero submodule (K = I).
     """
     if i < -1:
         raise ValueError("filtration index must be >= -1")
-    low = [p for p in associated_primes(m) if p.dim <= i]
-    primes = map(prime_ideal, sorted(low, key=PrimeSupport.sort_key))
-    a = reduce(ideal_intersection, primes, unit_ideal(m.ambient_n))
-    k = ideal_sum(ideal_intersection(saturation(m.lower, a), m.upper), m.lower)
+    n = m.ambient_n
+    low, up = (tuple(g.exponents for g in x.gens) for x in (m.lower, m.upper))
+    sat = low
+    for p in _cycle(n, low, up).support:
+        if p.dim <= i:
+            sats = [[g[:v] + (0,) + g[v + 1 :] for g in sat] for v in p.vars]
+            sat = reduce(partial(_pairwise, max), sats, ((0,) * n,))
+    k = m.lower if sat is low else MonomialIdeal.make(n, _pairwise(max, sat, up))
     return SubquotientModule(m.lower, k)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, le, neg
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .chow import PrimeSupport
 from .errors import AmbientMismatchError, InvalidSubquotientError
@@ -73,6 +73,12 @@ def _minimize(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
         if not any(all(map(le, h, e)) for h in kept):
             kept.append(e)
     return tuple(kept)
+
+
+def _pairwise(op, f: Iterable[tuple], g: Collection[tuple]) -> tuple[tuple[int, ...], ...]:
+    """The minimal antichain of op applied entrywise to every pair from f and g:
+    with op = max the intersection of their two ideals, with op = add the product."""
+    return _minimize(tuple(map(op, a, b)) for a in f for b in g)
 
 
 @dataclass(frozen=True)
@@ -141,13 +147,14 @@ def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ring(i, j)
-    lcms = [tuple(map(max, f.exponents, g.exponents)) for f in i.gens for g in j.gens]
-    return MonomialIdeal.make(i.ambient_n, lcms)
+    f, g = ([h.exponents for h in x.gens] for x in (i, j))
+    return MonomialIdeal.make(i.ambient_n, _pairwise(max, f, g))
 
 
 def ideal_product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ring(i, j)
-    return MonomialIdeal.make(i.ambient_n, [f.times(g) for f in i.gens for g in j.gens])
+    f, g = ([h.exponents for h in x.gens] for x in (i, j))
+    return MonomialIdeal.make(i.ambient_n, _pairwise(add, f, g))
 
 
 def ideal_power(i: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -7,12 +7,15 @@ manipulated.
 
 from __future__ import annotations
 
+from functools import partial, reduce
+from operator import add
 from typing import NamedTuple
 
 from . import ordinal as ord_
-from .chow import PrimeSupport
+from .chow import binord
 from .errors import OrdlenError, ResourceCapError, ZeroModuleError
 from .invariants import (
+    _cycle,
     associated_primes,
     basic_invariants,
     dimension_filtration,
@@ -22,11 +25,10 @@ from .invariants import (
 from .monomial import (
     MonomialIdeal,
     SubquotientModule,
-    ideal_intersection,
-    ideal_product,
+    _minimize,
+    _pairwise,
     ideal_sum,
     prime_ideal,
-    unit_ideal,
 )
 
 DEFAULT_POWER_CAP = 32
@@ -78,22 +80,20 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     """
     if not r_mod.upper.is_unit:
         raise OrdlenError("e-open power search expects a quotient ring R/I")
-    if r_mod.is_zero:
+    n_vars, low = r_mod.ambient_n, tuple(g.exponents for g in r_mod.lower.gens)
+    power = ((0,) * n_vars,)
+    fc = _cycle(n_vars, low, power)
+    if not fc.terms:
         raise ZeroModuleError("the zero module has no order")
-    inv = basic_invariants(r_mod)
-    e = inv.order
-    a = None
-    for p in sorted(associated_primes(r_mod), key=PrimeSupport.sort_key):
-        if p.dim == e:
-            pid = prime_ideal(p)
-            a = pid if a is None else ideal_intersection(a, pid)
-    assert a is not None
-    power = unit_ideal(r_mod.ambient_n)
+    e = min(p.dim for p in fc.support)
+    target = ord_.truncate_above(binord(fc), e)
+    ideals = (prime_ideal(p) for p in fc.support if p.dim == e)
+    a = reduce(partial(_pairwise, max), ([g.exponents for g in q.gens] for q in ideals), power)
     for n in range(1, cap + 1):
-        power = ideal_product(power, a)  # a^n, carried forward
-        k = ideal_sum(power, r_mod.lower)
-        if is_i_open(r_mod, k, e):
-            return EOpenPower(n, k)
+        power = _pairwise(add, power, a)  # a^n, carried forward
+        k = _minimize(power + low)
+        if binord(_cycle(n_vars, low, k)) == target:
+            return EOpenPower(n, MonomialIdeal.make(n_vars, k))
     raise ResourceCapError("no e-open power of the ideal found up to the cap %d" % cap)
 
 
