@@ -165,6 +165,60 @@ class TestGoldenJson:
             json.loads(line)
 
 
+class TestGoldenErrors:
+    # the exact stderr, so that the line and column of each message are pinned
+    # (Name positions are left out of syntax-tree equality)
+    CASES = [
+        ("ring x,y\nI = x ~ y\n", 1,
+         "parse error at line 2, column 7: unexpected character '~'"),
+        ("ring é,y\nI = é^2 ½\n", 1,
+         "parse error at line 2, column 9: unexpected character '½'"),
+        ("ring x,y\nI = x^", 1,
+         "parse error at line 2, column 7: expected integer (found 'end of input')"),
+        ("ring x\nI = x\n= x\n", 1,
+         "parse error at line 3, column 1: expected a statement (found '=')"),
+        ("ring x,y\nI = x\nlen I I\n", 1,
+         "parse error at line 3, column 7: expected 'ring', a command, or an ideal binding"
+         " (found 'I')"),
+        # end of input after a trailing comment is reported at the '#'
+        ("ring x\nI = x\nlen # a ref is missing", 1,
+         "parse error at line 3, column 5: expected ideal name (found 'end of input')"),
+        ("ring x,y\nI = x*q^2\n", 2,
+         "semantic error: undefined variable 'q' at line 2, column 7"),
+        ("ring x,y\nI = x\nlen J/I\n", 2,
+         "semantic error: undefined ideal 'J' at line 3, column 5"),
+        ("ring x,y\nI = x\nlen I/J\n", 2,
+         "semantic error: undefined ideal 'J' at line 3, column 7"),
+    ]
+
+    @pytest.mark.parametrize("text,code,message", CASES)
+    def test_stderr(self, text, code, message):
+        assert run(text) == (code, "", message + "\n")
+
+
+class TestRebinding:
+    # a binding replaces the ideal under its name for every later command
+    def test_len_after_rebinding(self):
+        text = "ring x,y\nI = x\nlen I\nI = x^2\nlen I\n"
+        assert run(text) == (0, "len R/I = ω\nlen R/I = 2ω\n", "")
+
+    def test_witness_after_rebinding(self):
+        text = "ring x,y\nI = x^2\nK = x\nopen I K\nK = x^2\nopen I K\n"
+        assert run(text) == (0, "not open (len = ω)\nnot open (len = 0)\n", "")
+
+    def test_witness_rebound_outside_the_module(self):
+        text = "ring x,y\nI = x^2*y\nJ = x\nK = x*y\nopen J/I K\nK = y\nopen J/I K\n"
+        assert run(text) == (
+            2, "not open (len = ω)\n", "semantic error: witness ideal not between I and J\n"
+        )
+
+    def test_upper_rebound_below_the_lower(self):
+        text = "ring x,y\nI = x^2\nJ = x\nlen J/I\nJ = y\nlen J/I\n"
+        assert run(text) == (
+            2, "len J/I = ω\n", "semantic error: lower ideal not contained in upper ideal\n"
+        )
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "text",
@@ -262,6 +316,67 @@ class TestExitCodeProperties:
         code, _, err = run(text)
         assert code in (0, 1, 2, 3)
         assert (err == "") == (code == 0)
+
+
+def reference_tokenize(text):
+    """A character-at-a-time lexer for the script language: the reference
+    that cli.tokenize must match token for token, error for error."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+        elif c.isspace():
+            i, col = i + 1, col + 1
+        elif c == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif c in ",=^*/+-":
+            tokens.append(("SYM", c, line, col))
+            i, col = i + 1, col + 1
+        elif "0" <= c <= "9":
+            j = i
+            while j < len(text) and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+        else:
+            raise cli.ParseError("unexpected character %r" % c, line, col)
+    tokens.append(("EOF", "", line, col))
+    return tokens
+
+
+# Unicode letters, digits and numerics that are not ASCII digits, Unicode
+# whitespace that is not a line break, and comments with and without a newline
+_LEXEMES = ["ring", "x", "I", "_a", "x1", "w", "0", "12", "007", ",", "=", "^", "*", "/",
+            "+", "-", "~", "€", "#", "# note", " ", "\t", "\n", "\r\n", "\x85", "\x0b",
+            "\u2003", "\u2028", "é", "٣", "²", "½", "Ⅷ", "\xff"]
+
+
+class TestLexer:
+    @given(st.text(max_size=40) | st.lists(st.sampled_from(_LEXEMES), max_size=25).map("".join))
+    @example("x²½Ⅷ ٣")
+    @example("²x")
+    @example("I = x # no newline")
+    @example("I = x\r\n\x85\x0by")
+    def test_tokenize_is_the_reference(self, text):
+        try:
+            want = reference_tokenize(text)
+        except cli.ParseError as exc:
+            with pytest.raises(cli.ParseError) as got:
+                cli.tokenize(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert [(t.kind, t.value, t.line, t.col) for t in cli.tokenize(text)] == want
 
 
 class TestRoundTrip:
