@@ -7,6 +7,7 @@ from .invariants import (
     construct_submodule_of_length,
     cycle_defect,
     dimension_filtration,
+    filtration_chain,
     fundamental_cycle,
     height_rank,
     length,

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
+import string
 import sys
 from dataclasses import dataclass, field
 
@@ -50,7 +52,6 @@ DEFAULT_MAX_VARS = 16
 
 # ---------------------------------------------------------------- lexer
 
-_SYMBOLS = ",=^*/+-"
 # The one place a command's shape is written: its argument kinds in order,
 # "r" a module reference, "i" an integer (possibly negative), "o" an ordinal.
 _COMMANDS = {
@@ -65,48 +66,40 @@ _COMMANDS = {
     "submodlen": "ro",
 }
 
+# Matched one line at a time: the whitespace before a token, then the end of
+# the line, a comment running to it, a run of ASCII digits (str.isdigit()
+# also takes "²", which int() rejects), a run of word characters (isalnum()
+# or "_") or any other single character.
+_TOKEN = re.compile(r"(\s*)(#.*|$|[0-9]+|\w+|.)")
+# A token's kind by its first character.  A word starting with any other
+# letter is an IDENT too; one starting with "²", "½" or "Ⅷ" (isalnum() but
+# not isalpha()) is an error, like any other character not listed here.
+_KINDS = (dict.fromkeys(",=^*/+-", "SYM") | dict.fromkeys(string.digits, "INT")
+          | dict.fromkeys("_" + string.ascii_letters, "IDENT"))
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT, INT, SYM, EOF
-    value: str
-    line: int
-    col: int
+# A token is (kind, value, line, col): kind IDENT, INT, SYM or EOF, and the
+# 1-based line and column of its first character.
+Token = tuple[str, str, int, int]
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-        elif c.isspace():
-            i, col = i + 1, col + 1
-        elif c == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c in _SYMBOLS:
-            tokens.append(Token("SYM", c, line, col))
-            i, col = i + 1, col + 1
-        elif "0" <= c <= "9":
-            # only ASCII digits: str.isdigit() also takes "²", which int() rejects
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError("unexpected character %r" % c, line, col)
-    tokens.append(Token("EOF", "", line, col))
+    lines = text.split("\n")
+    for line, chars in enumerate(lines, 1):
+        col = 1
+        for space, value in _TOKEN.findall(chars):
+            col += len(space)
+            kind = _KINDS.get(value[:1])
+            if kind is None:
+                if not value or value[0] == "#":
+                    break
+                if not value[0].isalpha():
+                    raise ParseError("unexpected character %r" % value[0], line, col)
+                kind = "IDENT"
+            tokens.append((kind, value, line, col))
+            col += len(value)
+    # after a comment with no newline, the end of input stays at its '#'
+    tokens.append(("EOF", "", len(lines), col))
     return tokens
 
 
@@ -169,27 +162,22 @@ class Script:
 class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
+        # a second EOF, so that peek(1) never runs off the end
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        shown = tok.value if tok.kind != "EOF" else "end of input"
-        return ParseError("%s (found %r)" % (message, shown), tok.line, tok.col)
+    def error(self, message: str) -> ParseError:
+        kind, value, line, col = self.peek()
+        shown = value if kind != "EOF" else "end of input"
+        return ParseError("%s (found %r)" % (message, shown), line, col)
 
     def accept(self, sym: str) -> bool:
         """Consume the symbol sym if it comes next."""
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.value == sym:
-            self.next()
+        if self.peek()[:2] == ("SYM", sym):
+            self.pos += 1
             return True
         return False
 
@@ -198,42 +186,45 @@ class Parser:
             raise self.error("expected %r" % sym)
 
     def expect_ident(self, what: str = "identifier") -> Name:
-        tok = self.peek()
-        if tok.kind != "IDENT":
+        kind, value, line, col = self.peek()
+        if kind != "IDENT":
             raise self.error("expected %s" % what)
-        self.next()
-        return Name(tok.value, tok.line, tok.col)
+        self.pos += 1
+        return Name(value, line, col)
 
     def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "INT":
+        kind, value, line, col = self.peek()
+        if kind != "INT":
             raise self.error("expected integer")
-        self.next()
-        return int(tok.value)
+        self.pos += 1
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("integer literal of %d digits is too long" % len(value),
+                             line, col) from None
 
     def parse_script(self) -> Script:
         script = Script()
-        if self.peek().kind == "EOF":
+        if self.peek()[0] == "EOF":
             raise self.error("empty script")
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             script.statements.append(self.parse_statement())
         return script
 
     def parse_statement(self):
-        tok = self.peek()
-        if tok.kind != "IDENT":
+        kind, value, _, _ = self.peek()
+        if kind != "IDENT":
             raise self.error("expected a statement")
-        if tok.value == "ring":
+        if value == "ring":
             return self.parse_ring()
-        if tok.value in _COMMANDS:
+        if value in _COMMANDS:
             return self.parse_command()
-        nxt = self.peek(1)
-        if nxt.kind == "SYM" and nxt.value == "=":
+        if self.peek(1)[:2] == ("SYM", "="):
             return self.parse_binding()
         raise self.error("expected 'ring', a command, or an ideal binding")
 
     def parse_ring(self) -> RingDecl:
-        self.next()
+        self.pos += 1
         names = [self.expect_ident("variable name")]
         while self.accept(","):
             names.append(self.expect_ident("variable name"))
@@ -245,9 +236,8 @@ class Parser:
         return Binding(name, self.parse_ideal())
 
     def parse_ideal(self) -> IdealExpr:
-        tok = self.peek()
-        if tok.kind == "INT" and tok.value == "0":
-            self.next()
+        if self.peek()[:2] == ("INT", "0"):
+            self.pos += 1
             return IdealExpr(())
         monos = [self.parse_monomial()]
         while self.accept(","):
@@ -255,10 +245,10 @@ class Parser:
         return IdealExpr(tuple(monos))
 
     def parse_monomial(self) -> tuple[tuple[Name, int], ...]:
-        tok = self.peek()
-        if tok.kind == "INT":
-            if tok.value == "1":
-                self.next()
+        kind, value, _, _ = self.peek()
+        if kind == "INT":
+            if value == "1":
+                self.pos += 1
                 return ()
             raise self.error("only the literals 0 and 1 are allowed in ideals")
         factors = [self.parse_factor()]
@@ -287,14 +277,9 @@ class Parser:
         return Ordinal.from_coeffs(terms)
 
     def parse_ordinal_term(self) -> tuple[int, int]:
-        tok = self.peek()
-        coeff = None
-        if tok.kind == "INT":
-            self.next()
-            coeff = int(tok.value)
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.value == "w":
-            self.next()
+        coeff = self.expect_int() if self.peek()[0] == "INT" else None
+        if self.peek()[:2] == ("IDENT", "w"):
+            self.pos += 1
             exp = 1
             if self.accept("^"):
                 exp = self.expect_int()
@@ -304,7 +289,8 @@ class Parser:
         return (0, coeff)
 
     def parse_command(self) -> Command:
-        kind = self.next().value
+        kind = self.peek()[1]
+        self.pos += 1
         refs, index, ordinal = [], None, None
         for arg in _COMMANDS[kind]:
             if arg == "r":
@@ -405,6 +391,9 @@ def ideal_json(i: MonomialIdeal, names: list[str]) -> list[str]:
 
 # ---------------------------------------------------------------- evaluation
 
+# json.dumps builds an encoder on every call that passes it an option
+_json_line = json.JSONEncoder(ensure_ascii=False).encode
+
 
 class Runner:
     def __init__(
@@ -417,10 +406,12 @@ class Runner:
         self.out = out if out is not None else sys.stdout
         self.names: list[str] | None = None
         self.ideals: dict[str, MonomialIdeal] = {}
+        # the modules resolved since the last binding, keyed by ideal names
+        self.modules: dict[tuple, SubquotientModule] = {}
 
     def emit(self, text_line: str, json_obj: dict) -> None:
         if self.as_json:
-            self.out.write(json.dumps(json_obj, ensure_ascii=False) + "\n")
+            self.out.write(_json_line(json_obj) + "\n")
         else:
             self.out.write(text_line + "\n")
         self.out.flush()
@@ -469,6 +460,7 @@ class Runner:
                 exps[names.index(var.text)] += exp
             gens.append(tuple(exps))
         self.ideals[stmt.name.text] = MonomialIdeal.make(n, gens)
+        self.modules.clear()
 
     def lookup(self, name: Name) -> MonomialIdeal:
         if name.text not in self.ideals:
@@ -478,16 +470,26 @@ class Runner:
         return self.ideals[name.text]
 
     def resolve(self, ref: Ref) -> SubquotientModule:
-        lower = self.lookup(ref.lower)
-        if ref.upper is None:
-            return SubquotientModule(lower, unit_ideal(lower.ambient_n))
-        return SubquotientModule(lower, self.lookup(ref.upper))
+        """The module J/I (or R/I) named by ref, checked I <= J once per binding state."""
+        key = (ref.lower.text, ref.upper and ref.upper.text)
+        m = self.modules.get(key)
+        if m is None:
+            lower = self.lookup(ref.lower)
+            upper = unit_ideal(lower.ambient_n) if ref.upper is None else self.lookup(ref.upper)
+            m = self.modules[key] = SubquotientModule(lower, upper)
+        return m
 
-    def resolve_witness(self, m: SubquotientModule, ref: Ref) -> SubquotientModule:
-        """The submodule K/I of m = J/I named by the witness ideal K."""
+    def resolve_witness(self, cmd: Command) -> SubquotientModule:
+        """The submodule K/I of the command's module J/I named by its witness
+        ideal K, checked I <= K <= J once per binding state."""
+        outer, ref = cmd.refs
         if ref.upper is not None:
             raise SemanticError("a submodule witness must be a single ideal name")
-        return m.submodule(self.lookup(ref.lower))
+        key = (outer.lower.text, outer.upper and outer.upper.text, ref.lower.text)
+        sub = self.modules.get(key)
+        if sub is None:
+            sub = self.modules[key] = self.resolve(outer).submodule(self.lookup(ref.lower))
+        return sub
 
     def exec_command(self, cmd: Command) -> None:
         names = self.require_ring()
@@ -508,15 +510,12 @@ class Runner:
             text = ", ".join(render_prime(p, names) for p in primes) if primes else "none"
             obj["primes"] = [[names[v] for v in sorted(p.vars)] for p in primes]
         elif cmd.kind == "filtration":
-            if m.is_zero:
-                raise SemanticError("dimension filtration of the zero module")
-            d = invariants.basic_invariants(m).dimension
-            ideals = [invariants.dimension_filtration(m, i).upper for i in range(d + 1)]
+            ideals = invariants.filtration_chain(m)
             joiner = " <= " if self.ascii_only else " ⊆ "
             text = joiner.join(render_ideal(k, names) for k in ideals)
             obj["ideals"] = [ideal_json(k, names) for k in ideals]
         elif cmd.kind in ("open", "iopen"):
-            sub = self.resolve_witness(m, cmd.refs[1])
+            sub = self.resolve_witness(cmd)
             if cmd.kind == "open":
                 opn, label = topology.is_open(m, sub.upper), "open"
             else:
@@ -527,7 +526,7 @@ class Runner:
             obj.update({"submodule": render_ideal(sub.upper, names), cmd.kind: opn,
                         "length": ordinal_json(sub_len), "display": self.disp(sub_len)})
         elif cmd.kind == "closure":
-            k = self.resolve_witness(m, cmd.refs[1]).upper
+            k = self.resolve_witness(cmd).upper
             cl = topology.closure(m, k)
             text = render_ideal(cl, names)
             obj.update(submodule=render_ideal(k, names), ideal=ideal_json(cl, names))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
 from heapq import heappop, heappush
+from itertools import islice
 from operator import le, neg
 from typing import Iterator, NamedTuple
 
@@ -147,28 +148,47 @@ def basic_invariants(m: SubquotientModule) -> ModuleInvariants:
     )
 
 
-def dimension_filtration(m: SubquotientModule, i: int) -> SubquotientModule:
-    """The largest submodule of J/I of dimension at most i, as a pair (I, K).
+def _filtration(m: SubquotientModule) -> Iterator[MonomialIdeal]:
+    """The ideals K_-1 = I, K_0, ..., K_d = J of the dimension filtration of
+    J/I, d its dimension; the zero module (d = -1) gives J = I alone.
 
-    K = (I : a^infinity) cap J for a the intersection of the associated
+    K_i = (I : a_i^infinity) cap J for a_i the intersection of the associated
     primes of dimension at most i; it contains I, as I <= J.  Saturation
     depends only on the radical, so I : (p cap q)^infinity =
-    (I : p^infinity) : q^infinity, one prime at a time; and I : p^infinity
-    is the meet, over the x_v in p, of I with x_v set to 1.  The zero prime
-    gives the empty meet, the unit ideal.  With no such primes the result
-    is the zero submodule (K = I).
+    (I : p^infinity) : q^infinity: one sweep upwards in i saturates at
+    each prime once.  I : p^infinity is the meet, over the x_v in p, of I
+    with x_v set to 1.  K_d = J needs no saturation: a power of a_d kills
+    J/I, so J <= I : a_d^infinity.
     """
-    if i < -1:
-        raise ValueError("filtration index must be >= -1")
     n = m.ambient_n
     low, up = (tuple(g.exponents for g in x.gens) for x in (m.lower, m.upper))
+    ass = _cycle(n, low, up).support
     sat = low
-    for p in _cycle(n, low, up).support:
-        if p.dim <= i:
-            sats = [[g[:v] + (0,) + g[v + 1 :] for g in sat] for v in p.vars]
-            sat = reduce(partial(_pairwise, max), sats, ((0,) * n,))
-    k = m.lower if sat is low else MonomialIdeal.make(n, _pairwise(max, sat, up))
+    for i in range(-1, max((p.dim for p in ass), default=-1)):
+        for p in ass:
+            if p.dim == i:
+                sats = [[g[:v] + (0,) + g[v + 1 :] for g in sat] for v in p.vars]
+                sat = reduce(partial(_pairwise, max), sats, ((0,) * n,))
+        yield m.lower if sat is low else MonomialIdeal.make(n, _pairwise(max, sat, up))
+    yield m.upper
+
+
+def dimension_filtration(m: SubquotientModule, i: int) -> SubquotientModule:
+    """The largest submodule K_i/I of J/I of dimension at most i (see _filtration);
+    the zero submodule (K = I) when no associated prime has dimension <= i."""
+    if i < -1:
+        raise ValueError("filtration index must be >= -1")
+    *_, k = islice(_filtration(m), i + 2)
     return SubquotientModule(m.lower, k)
+
+
+def filtration_chain(m: SubquotientModule) -> list[MonomialIdeal]:
+    """The ideals K_0 <= ... <= K_d = J of dimension_filtration(m, i) for
+    i = 0..d, d the dimension of the nonzero module m = J/I."""
+    _, *chain = _filtration(m)
+    if not chain:
+        raise ZeroModuleError("dimension filtration of the zero module")
+    return chain
 
 
 def cycle_defect(m: SubquotientModule, inner_upper: MonomialIdeal) -> Cycle:

@@ -24,6 +24,7 @@ from ordlen.invariants import (
     construct_submodule_of_length,
     cycle_defect,
     dimension_filtration,
+    filtration_chain,
     fundamental_cycle,
     height_rank,
     length,
@@ -212,6 +213,22 @@ def test_filtration_is_its_definition(case):
     m = SubquotientModule(ideal_intersection(MonomialIdeal.make(n, i_gens), j), j)
     for i in range(-1, n + 1):
         assert dimension_filtration(m, i).upper == filtration_definition(m, i)
+
+
+@given(filtration_cases)
+@example((2, [], None))
+@example((2, [(1, 0)], [(1, 0)]))  # I = J: the zero module
+def test_filtration_chain_is_the_pieces(case):
+    n, i_gens, j_gens = case
+    j = unit_ideal(n) if j_gens is None else MonomialIdeal.make(n, j_gens)
+    m = SubquotientModule(ideal_intersection(MonomialIdeal.make(n, i_gens), j), j)
+    if m.is_zero:
+        with pytest.raises(ZeroModuleError):
+            filtration_chain(m)
+    else:
+        d = basic_invariants(m).dimension
+        pieces = [dimension_filtration(m, i).upper for i in range(d + 1)]
+        assert filtration_chain(m) == pieces
 
 
 class TestCycleDefect:
