@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import string
 import sys
 from dataclasses import dataclass, field
 
@@ -74,8 +73,8 @@ _TOKEN = re.compile(r"(\s*)(#.*|$|[0-9]+|\w+|.)")
 # A token's kind by its first character.  A word starting with any other
 # letter is an IDENT too; one starting with "²", "½" or "Ⅷ" (isalnum() but
 # not isalpha()) is an error, like any other character not listed here.
-_KINDS = (dict.fromkeys(",=^*/+-", "SYM") | dict.fromkeys(string.digits, "INT")
-          | dict.fromkeys("_" + string.ascii_letters, "IDENT"))
+_KINDS = (dict.fromkeys(",=^*/+-", "SYM") | dict.fromkeys("0123456789", "INT")
+          | dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "IDENT"))
 
 # A token is (kind, value, line, col): kind IDENT, INT, SYM or EOF, and the
 # 1-based line and column of its first character.
