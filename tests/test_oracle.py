@@ -2,11 +2,22 @@ import itertools
 import os
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ordlen.chow import PrimeSupport, prime
 from ordlen.errors import NotArtinianError
 from ordlen.invariants import basic_invariants, length, local_multiplicity
-from ordlen.monomial import MonomialIdeal, SubquotientModule, unit_ideal, zero_ideal
+from ordlen.monomial import (
+    Monomial,
+    MonomialIdeal,
+    SubquotientModule,
+    ideal_sum,
+    prime_ideal,
+    saturation,
+    unit_ideal,
+    zero_ideal,
+)
 from ordlen.oracle import (
     STRESS_PROFILE,
     InstanceProfile,
@@ -78,6 +89,86 @@ class TestOracleArtinianLength:
     def test_matches_ordinal_length(self):
         m = ring_mod(2, (3, 0), (1, 1), (0, 2))
         assert length(m).coeff(0) == oracle_artinian_length(m)
+
+
+def saturation_lcl(m, p):
+    """lcl_p(J/I) through saturations: contract I and J at p, take the
+    p-torsion of the contracted I, and count the box monomials on p."""
+    n = m.ambient_n
+    outside = MonomialIdeal.make(n, [tuple(0 if v in p.vars else 1 for v in range(n))])
+    lower_c, upper_c = (saturation(x, outside) for x in (m.lower, m.upper))
+    torsion = saturation(lower_c, prime_ideal(p))
+    bounds = [
+        max((g.exponents[v] for g in lower_c.gens), default=0) if v in p.vars else 1
+        for v in range(n)
+    ]
+    monos = map(Monomial, itertools.product(*map(range, bounds)))
+    return sum(
+        1 for y in monos if torsion.contains(y) and upper_c.contains(y) and not lower_c.contains(y)
+    )
+
+
+def saturation_artinian_length(m):
+    """The number of monomials in J - I, or NotArtinianError unless J <= I : x_v^inf
+    for every variable x_v."""
+    n = m.ambient_n
+    for v in range(n):
+        x_v = MonomialIdeal.make(n, [tuple(1 if j == v else 0 for j in range(n))])
+        if not saturation(m.lower, x_v).contains_ideal(m.upper):
+            raise NotArtinianError("variable %d is not nilpotent on the module" % v)
+    bounds = [max((g.exponents[v] for g in m.lower.gens), default=0) for v in range(n)]
+    monos = map(Monomial, itertools.product(*map(range, bounds)))
+    return sum(1 for y in monos if m.upper.contains(y) and not m.lower.contains(y))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotArtinianError:
+        return NotArtinianError
+
+
+# (n, generators of I, extra generators of J, pure powers x_v^a_v added to I
+# where a_v > 0, whether J = (1)); the pure powers make many draws Artinian
+modules = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        *[st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=5)] * 2,
+        st.tuples(*[st.integers(0, 4)] * n),
+        st.booleans(),
+    )
+)
+
+
+class TestAgainstSaturations:
+    """Both oracles against the same counts made through saturation and prime_ideal."""
+
+    @staticmethod
+    def module(n, low, extra, powers, ring):
+        pure = [tuple(a if j == v else 0 for j in range(n)) for v, a in enumerate(powers) if a]
+        lower = MonomialIdeal.make(n, low + pure)
+        upper = unit_ideal(n) if ring else ideal_sum(lower, MonomialIdeal.make(n, extra))
+        return SubquotientModule(lower, upper)
+
+    @given(modules)
+    @example((3, [(2, 0, 0), (1, 1, 0)], [(1, 0, 0)], (0, 0, 0), False))
+    @example((2, [(2, 0), (0, 3)], [(0, 1)], (0, 0), False))
+    @example((2, [], [(1, 1)], (0, 0), False))
+    def test_lcl(self, spec):
+        m = self.module(*spec)
+        n = m.ambient_n
+        for r in range(n + 1):
+            for sub in itertools.combinations(range(n), r):
+                p = PrimeSupport(n, frozenset(sub))
+                assert oracle_lcl(m, p) == saturation_lcl(m, p)
+
+    @given(modules)
+    @example((2, [(2, 0), (0, 3)], [(0, 1)], (0, 0), False))
+    @example((2, [(2, 0), (1, 1)], [], (0, 0), True))
+    @example((2, [], [], (0, 0), False))
+    def test_artinian_length(self, spec):
+        m = self.module(*spec)
+        assert outcome(oracle_artinian_length, m) == outcome(saturation_artinian_length, m)
 
 
 class TestKrullDimension:
