@@ -311,36 +311,6 @@ def parse(text: str) -> Script:
     return Parser(text).parse_script()
 
 
-def render_script(script: Script) -> str:
-    """Inverse of parse up to formatting: reparsing the output gives an
-    equal Script."""
-
-    def mono_text(mono: tuple[tuple[Name, int], ...]) -> str:
-        if not mono:
-            return "1"
-        return "*".join(n.text if e == 1 else "%s^%d" % (n.text, e) for n, e in mono)
-
-    lines = []
-    for stmt in script.statements:
-        if isinstance(stmt, RingDecl):
-            lines.append("ring %s" % ",".join(n.text for n in stmt.names))
-        elif isinstance(stmt, Binding):
-            monos = stmt.ideal.monomials
-            body = ", ".join(mono_text(m) for m in monos) if monos else "0"
-            lines.append("%s = %s" % (stmt.name.text, body))
-        else:
-            words, refs = [stmt.kind], iter(stmt.refs)
-            for arg in _COMMANDS[stmt.kind]:
-                if arg == "r":
-                    words.append(next(refs).display().removeprefix("R/"))
-                elif arg == "i":
-                    words.append(str(stmt.index))
-                else:
-                    words.append(stmt.ordinal.display(ascii_only=True))
-            lines.append(" ".join(words))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------- rendering
 
 

@@ -107,7 +107,6 @@ def associated_primes(m: SubquotientModule) -> frozenset[PrimeSupport]:
     return fundamental_cycle(m).support
 
 
-@lru_cache(maxsize=None)
 def length(m: SubquotientModule) -> Ordinal:
     """The ordinal length of J/I."""
     return binord(fundamental_cycle(m))

@@ -76,8 +76,8 @@ def _minimize(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 
 
 def _pairwise(op, f: Iterable[tuple], g: Collection[tuple]) -> tuple[tuple[int, ...], ...]:
-    """The minimal antichain of op applied entrywise to every pair from f and g:
-    with op = max the intersection of their two ideals, with op = add the product."""
+    """The minimal antichain of op(a, b) entrywise over a in f, b in g: the
+    meets (max) of _filtration and the powers (add) of find_e_open_power."""
     return _minimize(tuple(map(op, a, b)) for a in f for b in g)
 
 
@@ -147,14 +147,12 @@ def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ring(i, j)
-    f, g = ([h.exponents for h in x.gens] for x in (i, j))
-    return MonomialIdeal.make(i.ambient_n, _pairwise(max, f, g))
+    return MonomialIdeal.make(i.ambient_n, [f.lcm(g) for f in i.gens for g in j.gens])
 
 
 def ideal_product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ring(i, j)
-    f, g = ([h.exponents for h in x.gens] for x in (i, j))
-    return MonomialIdeal.make(i.ambient_n, _pairwise(add, f, g))
+    return MonomialIdeal.make(i.ambient_n, [f.times(g) for f in i.gens for g in j.gens])
 
 
 def ideal_power(i: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -1,9 +1,12 @@
 """Independent brute-force routes used to validate the main engine.
 
-These deliberately avoid the engine's standard-pair slice count: local
-multiplicities are recomputed by contracting through saturations and
-scanning an exponent box, and classical lengths by direct monomial
-counting.
+These share no code path with the engine: no standard pairs, no
+minimisation, no ideal operation.  Membership is decided by definition,
+with one divisibility test against the given generators.  For K at or
+above every exponent of I and J, y lies in L : x_v^infinity exactly when
+y + K*e_v lies in L, so localizing at a prime and taking torsion are each
+one such test per point of an exponent box.  Classical lengths are direct
+monomial counts.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import le
 
 from .chow import PrimeSupport
 from .errors import NotArtinianError
@@ -19,57 +23,61 @@ from .monomial import (
     MonomialIdeal,
     SubquotientModule,
     ideal_sum,
-    prime_ideal,
-    saturation,
     unit_ideal,
 )
 
 
-def oracle_lcl(m: SubquotientModule, p: PrimeSupport) -> int:
-    """Local multiplicity at p from saturations and a box scan, without standard pairs.
+def _inside(gens: list[tuple[int, ...]], y: tuple[int, ...]) -> bool:
+    return any(all(map(le, g, y)) for g in gens)
 
-    Both ideals are first contracted through localization at p (saturation
-    by the product of the outside variables); the p-torsion part is then
-    the saturation by p itself.  Each torsion class has a unique monomial
-    representative supported on p's variables, and those are counted
-    inside the exponent box spanned by the contracted lower ideal.
+
+def _exponents(m: SubquotientModule) -> tuple[list, list, int]:
+    """The generator exponents of I and of J, and a K at or above all of them."""
+    low, up = ([g.exponents for g in i.gens] for i in (m.lower, m.upper))
+    return low, up, max((e for g in low + up for e in g), default=0)
+
+
+def _below_top(low: list[tuple[int, ...]], v: int) -> range:
+    """The x_v-exponents below every x_v-exponent of I's generators."""
+    return range(max((g[v] for g in low), default=0))
+
+
+def oracle_lcl(m: SubquotientModule, p: PrimeSupport) -> int:
+    """Local multiplicity at p by definition, from a box scan without standard pairs.
+
+    Localizing at p contracts L to L : x_out^infinity, x_out the product of
+    the variables outside p: y lies in the contraction when y with every
+    outside exponent set to K lies in L.  The p-torsion of the contracted
+    I is its meet over the x_v in p of the contractions by x_v^infinity.
+    Each torsion class has one monomial representative on p's variables;
+    past the top x_v-exponent of I it lies in the contracted I, so only
+    the box below those exponents is scanned.
     """
-    n = m.ambient_n
-    outside = Monomial(tuple(0 if v in p.vars else 1 for v in range(n)))
-    unit_out = MonomialIdeal.make(n, [outside])
-    lower_c = saturation(m.lower, unit_out)
-    upper_c = saturation(m.upper, unit_out)
-    torsion = saturation(lower_c, prime_ideal(p))
-    bounds = [
-        max((g.exponents[v] for g in lower_c.gens), default=0) if v in p.vars else 1
-        for v in range(n)
-    ]
-    count = 0
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        mono = Monomial(exps)
-        if not lower_c.contains(mono) and torsion.contains(mono) and upper_c.contains(mono):
-            count += 1
-    return count
+    low, up, big = _exponents(m)
+    box = [_below_top(low, v) if v in p.vars else (big,) for v in range(m.ambient_n)]
+    return sum(
+        1
+        for y in itertools.product(*box)
+        if _inside(up, y)
+        and not _inside(low, y)
+        and all(_inside(low, y[:v] + (big,) + y[v + 1 :]) for v in p.vars)
+    )
 
 
 def oracle_artinian_length(m: SubquotientModule) -> int:
     """Classical length of an Artinian J/I: the number of monomials in J\\I.
 
     Raises NotArtinianError unless every variable is nilpotent on the
-    module (x_v^k J inside I for some k).
+    module: x_v^k J inside I for some k, so each generator of J with its
+    x_v-exponent set to K lies in I.
     """
     n = m.ambient_n
+    low, up, big = _exponents(m)
     for v in range(n):
-        x_v = MonomialIdeal.make(n, [tuple(1 if j == v else 0 for j in range(n))])
-        if not saturation(m.lower, x_v).contains_ideal(m.upper):
+        if not all(_inside(low, f[:v] + (big,) + f[v + 1 :]) for f in up):
             raise NotArtinianError("variable %d is not nilpotent on the module" % v)
-    bounds = [max((g.exponents[v] for g in m.lower.gens), default=0) for v in range(n)]
-    count = 0
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        mono = Monomial(exps)
-        if m.upper.contains(mono) and not m.lower.contains(mono):
-            count += 1
-    return count
+    box = (_below_top(low, v) for v in range(n))
+    return sum(1 for y in itertools.product(*box) if _inside(up, y) and not _inside(low, y))
 
 
 def krull_dimension(i: MonomialIdeal) -> int:

@@ -1,5 +1,4 @@
 import io
-import os
 import random
 from functools import reduce
 
@@ -434,7 +433,6 @@ class TestDeepSearch:
     def test_thousand_through_the_cli(self):
         self.check_cli_search(1000)
 
-    @pytest.mark.skipif(not os.environ.get("ORDLEN_STRESS"), reason="set ORDLEN_STRESS to enable")
     def test_three_thousand_through_the_cli(self):
         self.check_cli_search(3000)
 

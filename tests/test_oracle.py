@@ -1,10 +1,10 @@
 import itertools
-import os
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ordlen import monomial, oracle
 from ordlen.chow import PrimeSupport, prime
 from ordlen.errors import NotArtinianError
 from ordlen.invariants import basic_invariants, length, local_multiplicity
@@ -121,6 +121,12 @@ def saturation_artinian_length(m):
     return sum(1 for y in monos if m.upper.contains(y) and not m.lower.contains(y))
 
 
+def all_primes(n):
+    for r in range(n + 1):
+        for sub in itertools.combinations(range(n), r):
+            yield PrimeSupport(n, frozenset(sub))
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -156,11 +162,8 @@ class TestAgainstSaturations:
     @example((2, [], [(1, 1)], (0, 0), False))
     def test_lcl(self, spec):
         m = self.module(*spec)
-        n = m.ambient_n
-        for r in range(n + 1):
-            for sub in itertools.combinations(range(n), r):
-                p = PrimeSupport(n, frozenset(sub))
-                assert oracle_lcl(m, p) == saturation_lcl(m, p)
+        for p in all_primes(m.ambient_n):
+            assert oracle_lcl(m, p) == saturation_lcl(m, p)
 
     @given(modules)
     @example((2, [(2, 0), (0, 3)], [(0, 1)], (0, 0), False))
@@ -169,6 +172,38 @@ class TestAgainstSaturations:
     def test_artinian_length(self, spec):
         m = self.module(*spec)
         assert outcome(oracle_artinian_length, m) == outcome(saturation_artinian_length, m)
+
+
+def test_oracles_reach_no_ideal_kernel(monkeypatch):
+    # with every ideal kernel of the engine patched to raise, both oracles
+    # still answer, and answer as the saturation formulas did before patching
+    mods = [
+        M3,
+        M3.submodule(ideal(3, (1, 0, 0))),
+        ring_mod(2, (2, 0), (1, 1), (0, 2)),
+        SubquotientModule(ideal(2, (3, 0), (0, 2)), ideal(2, (1, 0), (0, 1))),
+        ring_mod(2, (1, 0)),
+        ring_mod(2),
+    ]
+
+    def answers(lcl, artinian_length):
+        return [
+            ([lcl(m, p) for p in all_primes(m.ambient_n)], outcome(artinian_length, m))
+            for m in mods
+        ]
+
+    want = answers(saturation_lcl, saturation_artinian_length)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oracle reached an ideal kernel of the engine")
+
+    monkeypatch.setattr(MonomialIdeal, "make", classmethod(unreachable))
+    monkeypatch.setattr(monomial, "_minimize", unreachable)
+    monkeypatch.setattr(monomial, "_pairwise", unreachable)
+    for namespace in (monomial, oracle):
+        for name in ("saturation", "ideal_intersection"):
+            monkeypatch.setattr(namespace, name, unreachable, raising=False)
+    assert answers(oracle_lcl, oracle_artinian_length) == want
 
 
 class TestKrullDimension:
@@ -214,7 +249,6 @@ class TestGenerator:
             m.quotient_by(k)
 
 
-@pytest.mark.skipif(not os.environ.get("ORDLEN_STRESS"), reason="set ORDLEN_STRESS to enable")
 def test_stress_profile_agreement():
     for seed in range(25):
         m = random_instance(seed, STRESS_PROFILE)
