@@ -316,7 +316,7 @@ def parse(text: str) -> Script:
 
 def render_monomial(m, names: list[str]) -> str:
     parts = []
-    for i, e in enumerate(m.exponents):
+    for i, e in enumerate(m):
         if e == 1:
             parts.append(names[i])
         elif e > 1:
@@ -545,7 +545,15 @@ def _eval_script(args: argparse.Namespace, parser: argparse.ArgumentParser) -> s
         lines.append("K = %s" % args.ideal2)
     operands = {"r": ["I", "K"], "i": [str(args.index)], "o": [args.ordinal]}
     lines.append(" ".join([args.cmd] + [operands[kind].pop(0) for kind in spec]))
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    try:
+        statements = parse(text).statements
+    except ParseError:
+        return text  # run_text reports it, with exit 1
+    # line breaks are whitespace, so an operand could carry statements of its own
+    if len(statements) != len(lines):
+        parser.error("an operand adds statements beyond the one command")
+    return text
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -90,7 +90,7 @@ def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
 
 def fundamental_cycle(m: SubquotientModule) -> Cycle:
     """The effective cycle of local multiplicities at associated primes (see _cycle)."""
-    return _cycle(m.ambient_n, *(tuple(g.exponents for g in i.gens) for i in (m.lower, m.upper)))
+    return _cycle(m.ambient_n, m.lower.gens, m.upper.gens)
 
 
 def local_multiplicity(m: SubquotientModule, p: PrimeSupport) -> int:
@@ -160,7 +160,7 @@ def _filtration(m: SubquotientModule) -> Iterator[MonomialIdeal]:
     J/I, so J <= I : a_d^infinity.
     """
     n = m.ambient_n
-    low, up = (tuple(g.exponents for g in x.gens) for x in (m.lower, m.upper))
+    low, up = m.lower.gens, m.upper.gens
     ass = _cycle(n, low, up).support
     sat = low
     for i in range(-1, max((p.dim for p in ass), default=-1)):
@@ -262,7 +262,7 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
         raise InvalidSubquotientError("target length is not weaker than the module length")
     bound = max(m.lower.max_degree, m.upper.max_degree) + mu.valence
     ass = sorted(associated_primes(m), key=PrimeSupport.sort_key)
-    low, up = (tuple(g.exponents for g in i.gens) for i in (m.lower, m.upper))
+    low, up = m.lower.gens, m.upper.gens
     kg, target = low, ord_.ZERO
     for exp, coeff in nu.terms:
         primes = [p for p in ass if p.dim == exp]

@@ -1,9 +1,9 @@
 """Monomial-ideal arithmetic over a fixed polynomial ring k[x_1..x_n].
 
 The field k is purely formal: every invariant computed downstream is
-field-independent, so no coefficient arithmetic exists anywhere.  Ideals
-are kept as canonical minimal generating antichains, which makes equality
-structural.
+field-independent, so no coefficient arithmetic exists anywhere.  A
+monomial is the tuple of its exponents, and an ideal's gens are its sorted
+minimal generating antichain of such tuples, which makes equality structural.
 """
 
 from __future__ import annotations
@@ -17,53 +17,58 @@ from .chow import PrimeSupport
 from .errors import AmbientMismatchError, InvalidSubquotientError
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A monomial given by its exponent vector; 1 is the all-zeros vector."""
+class Monomial(tuple):
+    """A monomial as the tuple of its exponents; 1 is the all-zeros tuple."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.exponents and min(self.exponents) < 0:
+    def __new__(cls, exponents: Iterable[int]) -> Monomial:
+        self = super().__new__(cls, exponents)
+        if self and min(self) < 0:
             raise ValueError("negative exponent")
+        return self
+
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        return self
 
     @property
     def n(self) -> int:
-        return len(self.exponents)
+        return len(self)
 
     @property
     def degree(self) -> int:
-        return sum(self.exponents)
+        return sum(self)
 
     @property
     def is_one(self) -> bool:
-        return not any(self.exponents)
+        return not any(self)
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self.exponents) if e)
+        return frozenset(i for i, e in enumerate(self) if e)
 
-    def divides(self, other: Monomial) -> bool:
-        return all(map(le, self.exponents, other.exponents))
+    def divides(self, other: tuple[int, ...]) -> bool:
+        return all(map(le, self, other))
 
-    def times(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(map(add, self.exponents, other.exponents)))
+    def times(self, other: tuple[int, ...]) -> Monomial:
+        return Monomial(map(add, self, other))
 
-    def lcm(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(map(max, self.exponents, other.exponents)))
+    def lcm(self, other: tuple[int, ...]) -> Monomial:
+        return Monomial(map(max, self, other))
 
-    def quotient_by(self, other: Monomial) -> Monomial:
+    def quotient_by(self, other: tuple[int, ...]) -> Monomial:
         """self / gcd(self, other), the monomial colon quotient."""
-        return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exponents, other.exponents)))
+        return Monomial(max(a - b, 0) for a, b in zip(self, other))
 
     def sort_key(self) -> tuple:
         # degree-lexicographic with x_0 > x_1 > ..., the deterministic
         # order used in all searches and displays
-        return (sum(self.exponents), tuple(map(neg, self.exponents)))
+        return (sum(self), tuple(map(neg, self)))
 
 
 def variable(n: int, i: int) -> Monomial:
-    return Monomial(tuple(1 if j == i else 0 for j in range(n)))
+    return Monomial(1 if j == i else 0 for j in range(n))
 
 
 def _minimize(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -94,9 +99,8 @@ class MonomialIdeal:
                 raise AmbientMismatchError("generator in wrong ring")
 
     @classmethod
-    def make(cls, ambient_n: int, gens: Iterable[Monomial | tuple[int, ...]]) -> MonomialIdeal:
-        exps = [g.exponents if isinstance(g, Monomial) else tuple(g) for g in gens]
-        return cls(ambient_n, tuple(map(Monomial, _minimize(exps))))
+    def make(cls, ambient_n: int, gens: Iterable[Iterable[int]]) -> MonomialIdeal:
+        return cls(ambient_n, tuple(map(Monomial, _minimize(map(tuple, gens)))))
 
     @property
     def is_zero(self) -> bool:
@@ -110,9 +114,8 @@ class MonomialIdeal:
     def max_degree(self) -> int:
         return max((g.degree for g in self.gens), default=0)
 
-    def contains(self, m: Monomial) -> bool:
-        e = m.exponents
-        return any(all(map(le, g.exponents, e)) for g in self.gens)
+    def contains(self, m: tuple[int, ...]) -> bool:
+        return any(all(map(le, g, m)) for g in self.gens)
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -182,7 +185,7 @@ def saturation(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     steps = (
         MonomialIdeal.make(
             i.ambient_n,
-            [tuple(0 if e else a for a, e in zip(f.exponents, g.exponents)) for f in i.gens],
+            [tuple(0 if e else a for a, e in zip(f, g)) for f in i.gens],
         )
         for g in j.gens
     )

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from operator import le
 
 from .chow import PrimeSupport
 from .errors import NotArtinianError
@@ -27,19 +26,14 @@ from .monomial import (
 )
 
 
-def _inside(gens: list[tuple[int, ...]], y: tuple[int, ...]) -> bool:
-    return any(all(map(le, g, y)) for g in gens)
+def _top(m: SubquotientModule) -> int:
+    """A K at or above every generator exponent of I and of J."""
+    return max((e for g in m.lower.gens + m.upper.gens for e in g), default=0)
 
 
-def _exponents(m: SubquotientModule) -> tuple[list, list, int]:
-    """The generator exponents of I and of J, and a K at or above all of them."""
-    low, up = ([g.exponents for g in i.gens] for i in (m.lower, m.upper))
-    return low, up, max((e for g in low + up for e in g), default=0)
-
-
-def _below_top(low: list[tuple[int, ...]], v: int) -> range:
+def _below_top(low: MonomialIdeal, v: int) -> range:
     """The x_v-exponents below every x_v-exponent of I's generators."""
-    return range(max((g[v] for g in low), default=0))
+    return range(max((g[v] for g in low.gens), default=0))
 
 
 def oracle_lcl(m: SubquotientModule, p: PrimeSupport) -> int:
@@ -53,14 +47,14 @@ def oracle_lcl(m: SubquotientModule, p: PrimeSupport) -> int:
     past the top x_v-exponent of I it lies in the contracted I, so only
     the box below those exponents is scanned.
     """
-    low, up, big = _exponents(m)
+    low, up, big = m.lower, m.upper, _top(m)
     box = [_below_top(low, v) if v in p.vars else (big,) for v in range(m.ambient_n)]
     return sum(
         1
         for y in itertools.product(*box)
-        if _inside(up, y)
-        and not _inside(low, y)
-        and all(_inside(low, y[:v] + (big,) + y[v + 1 :]) for v in p.vars)
+        if up.contains(y)
+        and not low.contains(y)
+        and all(low.contains(y[:v] + (big,) + y[v + 1 :]) for v in p.vars)
     )
 
 
@@ -72,12 +66,12 @@ def oracle_artinian_length(m: SubquotientModule) -> int:
     x_v-exponent set to K lies in I.
     """
     n = m.ambient_n
-    low, up, big = _exponents(m)
+    low, up, big = m.lower, m.upper, _top(m)
     for v in range(n):
-        if not all(_inside(low, f[:v] + (big,) + f[v + 1 :]) for f in up):
+        if not all(low.contains(f[:v] + (big,) + f[v + 1 :]) for f in up.gens):
             raise NotArtinianError("variable %d is not nilpotent on the module" % v)
     box = (_below_top(low, v) for v in range(n))
-    return sum(1 for y in itertools.product(*box) if _inside(up, y) and not _inside(low, y))
+    return sum(1 for y in itertools.product(*box) if up.contains(y) and not low.contains(y))
 
 
 def krull_dimension(i: MonomialIdeal) -> int:
@@ -118,7 +112,7 @@ def _random_monomial(rng: random.Random, n: int, max_degree: int, min_degree: in
     exps = [0] * n
     for _ in range(d):
         exps[rng.randrange(n)] += 1
-    return Monomial(tuple(exps))
+    return Monomial(exps)
 
 
 def random_instance(seed: int, profile: InstanceProfile = DEFAULT_PROFILE) -> SubquotientModule:

@@ -80,15 +80,15 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     """
     if not r_mod.upper.is_unit:
         raise OrdlenError("e-open power search expects a quotient ring R/I")
-    n_vars, low = r_mod.ambient_n, tuple(g.exponents for g in r_mod.lower.gens)
+    n_vars, low = r_mod.ambient_n, r_mod.lower.gens
     power = ((0,) * n_vars,)
     fc = _cycle(n_vars, low, power)
     if not fc.terms:
         raise ZeroModuleError("the zero module has no order")
     e = min(p.dim for p in fc.support)
     target = ord_.truncate_above(binord(fc), e)
-    ideals = (prime_ideal(p) for p in fc.support if p.dim == e)
-    a = reduce(partial(_pairwise, max), ([g.exponents for g in q.gens] for q in ideals), power)
+    primes = (prime_ideal(p).gens for p in fc.support if p.dim == e)
+    a = reduce(partial(_pairwise, max), primes, power)
     for n in range(1, cap + 1):
         power = _pairwise(add, power, a)  # a^n, carried forward
         k = _minimize(power + low)

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -504,13 +508,25 @@ class TestMain:
             ["--cmd", "iopen", "--ideal2", "x"],
             ["--cmd", "homvanishes"],
             ["--cmd", "submodlen"],
+            # an operand that carries a statement of its own runs nothing
+            ["--ideal", "x len I", "--cmd", "len"],
+            ["--ideal", "x^2, x*y", "--ideal2", "x cycle I", "--cmd", "open"],
+            ["--ring", "x,y I = x", "--cmd", "len"],
+            ["--cmd", "submodlen", "--ordinal", "w len I"],
         ],
     )
     def test_eval_usage_errors(self, extra, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "--ring", "x,y", "--ideal", "x^2"] + extra)
         assert exc.value.code == 2
-        assert "usage:" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "usage:" in err and out == ""
+
+    def test_eval_malformed_operand_is_a_parse_error(self, capsys):
+        code = cli.main(["eval", "--ring", "x,y", "--ideal", "x^2,", "--cmd", "len"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error at line 3, column 5:")
 
     def test_variable_cap_is_checked_at_the_ring(self):
         ring = "ring %s\n" % ",".join("x%d" % i for i in range(17))
@@ -523,3 +539,28 @@ class TestMain:
             ["eval", "--max-vars", "1", "--ring", "x,y", "--ideal", "x", "--cmd", "len"]
         )
         assert code == 2
+
+
+class TestProcess:
+    """`python -m ordlen.cli` started as a process of its own."""
+
+    def cli(self, *args):
+        # pyproject's pythonpath setting reaches only the pytest process
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "ordlen.cli", *args],
+            capture_output=True, encoding="utf-8", env=env, timeout=60,
+        )
+
+    def test_eval_exits_0(self):
+        done = self.cli("eval", "--ring", "x,y,z", "--ideal", "x^2, x*y", "--cmd", "len")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "len R/I = ω^2 + ω\n", "")
+
+    def test_run_of_a_parse_error_exits_1(self, tmp_path):
+        path = tmp_path / "script.ord"
+        path.write_text("ring x,y\nI = x^\nlen I\n", encoding="utf-8")
+        done = self.cli("run", str(path))
+        message = "parse error at line 3, column 1: expected integer (found 'len')\n"
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message)

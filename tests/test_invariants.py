@@ -1,6 +1,7 @@
 import io
+import itertools
 import random
-from functools import reduce
+from operator import le
 
 import pytest
 from hypothesis import example, given
@@ -38,7 +39,6 @@ from ordlen.monomial import (
     ideal_sum,
     maximal_ideal,
     prime_ideal,
-    saturation,
     unit_ideal,
     variable,
     zero_ideal,
@@ -187,11 +187,28 @@ class TestDimensionFiltration:
         assert pieces == [zero_ideal(2)] * 3 + [unit_ideal(2)]
 
 
-def filtration_definition(m, i):
-    """The K of dimension_filtration(m, i) through the public ideal operations."""
-    primes = sorted((p for p in associated_primes(m) if p.dim <= i), key=PrimeSupport.sort_key)
-    a = reduce(ideal_intersection, map(prime_ideal, primes), unit_ideal(m.ambient_n))
-    return ideal_sum(ideal_intersection(saturation(m.lower, a), m.upper), m.lower)
+def filtration_definition(m, i, box, big):
+    """Whether each y of box lies in the K of dimension_filtration(m, i),
+    by divisibility tests against the generators of I and J alone.
+
+    K = (I : a^infinity) cap J for a the meet of the associated primes of
+    dimension at most i, generated by the products of one variable from
+    each.  With big at or above every generator exponent, y lies in
+    I : x_S^infinity exactly when y with its exponents on S set to big
+    lies in I.  A pick that holds another adds no condition.
+    """
+
+    def inside(gens, z):
+        return any(all(map(le, g, z)) for g in gens)
+
+    primes = [sorted(p.vars) for p in associated_primes(m) if p.dim <= i]
+    picks = {frozenset(s) for s in itertools.product(*primes)}
+    picks = [s for s in picks if not any(t < s for t in picks)]
+    return [
+        inside(m.upper.gens, y)
+        and all(inside(m.lower.gens, [big if v in s else e for v, e in enumerate(y)]) for s in picks)
+        for y in box
+    ]
 
 
 filtration_cases = st.integers(1, 4).flatmap(
@@ -210,8 +227,12 @@ def test_filtration_is_its_definition(case):
     n, i_gens, j_gens = case
     j = unit_ideal(n) if j_gens is None else MonomialIdeal.make(n, j_gens)
     m = SubquotientModule(ideal_intersection(MonomialIdeal.make(n, i_gens), j), j)
+    # every generator of K lies in the box, so membership there decides K
+    big = max((e for g in m.lower.gens + m.upper.gens for e in g), default=0)
+    box = list(itertools.product(range(big + 1), repeat=n))
     for i in range(-1, n + 1):
-        assert dimension_filtration(m, i).upper == filtration_definition(m, i)
+        k = dimension_filtration(m, i).upper
+        assert [k.contains(y) for y in box] == filtration_definition(m, i, box, big)
 
 
 @given(filtration_cases)

@@ -88,6 +88,26 @@ class TestAgainstDefinitions:
             Monomial((0, -1))
 
 
+class TestExponentTuple:
+    """A monomial is the tuple of its exponents."""
+
+    def test_equals_and_hashes_as_its_tuple(self):
+        assert Monomial((1, 2)) == (1, 2)
+        assert hash(Monomial((1, 2))) == hash((1, 2))
+
+    def test_exponents_are_the_monomial(self):
+        assert Monomial((1, 2)).exponents == (1, 2)
+
+    def test_contains_takes_a_plain_tuple(self):
+        i = ideal(2, (2, 0), (1, 1))
+        assert i.contains((3, 1)) and not i.contains((1, 0))
+
+    def test_make_takes_monomials_tuples_and_lists(self):
+        mixed = MonomialIdeal.make(2, [Monomial((2, 0)), (1, 1), [0, 3], [2, 1]])
+        assert mixed == ideal(2, (2, 0), (1, 1), (0, 3))
+        assert all(type(g) is Monomial for g in mixed.gens)
+
+
 class TestCanonicalForm:
     def test_redundant_generators_dropped(self):
         assert ideal(2, (1, 0), (2, 1)) == ideal(2, (1, 0))
