@@ -2,55 +2,60 @@
 
 A monomial prime of k[x_1..x_n] is identified with the subset of variable
 indices generating it; its dimension is n minus the size of that subset.
-Cycles are finitely supported integer combinations of such primes.
+Cycles are finitely supported integer combinations of such primes.  Both
+are Values (see ordinal.Value), equal only to values of their own type.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 from .errors import AmbientMismatchError, NonEffectiveCycleError
-from .ordinal import Ordinal
+from .ordinal import Ordinal, Value
 
 
-@dataclass(frozen=True)
-class PrimeSupport:
-    """The monomial prime (x_i : i in vars) of an n-variable polynomial ring."""
+class PrimeSupport(Value, namedtuple("PrimeSupport", "ambient_n vars key")):
+    """The monomial prime (x_i : i in vars) of an n-variable polynomial ring;
+    key, stored for sort_key(), follows from vars and is not an argument."""
 
-    ambient_n: int
-    vars: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(v < 0 or v >= self.ambient_n for v in self.vars):
+    def __new__(cls, ambient_n: int, vars: frozenset[int]) -> PrimeSupport:
+        if any(v < 0 or v >= ambient_n for v in vars):
             raise ValueError("variable index out of range")
-        object.__setattr__(self, "_sort_key", (len(self.vars), tuple(sorted(self.vars))))
+        return tuple.__new__(cls, (ambient_n, vars, (len(vars), tuple(sorted(vars)))))
+
+    def __getnewargs__(self) -> tuple[int, frozenset[int]]:
+        return self[:2]
+
+    def __repr__(self) -> str:
+        return "PrimeSupport(ambient_n=%r, vars=%r)" % self[:2]
 
     @property
     def dim(self) -> int:
         return self.ambient_n - len(self.vars)
 
     def sort_key(self) -> tuple:
-        return self._sort_key
+        return self.key
 
 
 def prime(ambient_n: int, vars: Iterable[int]) -> PrimeSupport:
     return PrimeSupport(ambient_n, frozenset(vars))
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Value, namedtuple("Cycle", "ambient_n terms")):
     """An element of the Chow group: nonzero weights on primes in sort_key order."""
 
-    ambient_n: int
-    terms: tuple[tuple[PrimeSupport, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for k, (p, c) in enumerate(self.terms):
-            if p.ambient_n != self.ambient_n:
+    def __new__(cls, ambient_n: int, terms: tuple[tuple[PrimeSupport, int], ...] = ()) -> Cycle:
+        for k, (p, c) in enumerate(terms):
+            if p.ambient_n != ambient_n:
                 raise AmbientMismatchError("cycle term in wrong ring")
-            if c == 0 or k and p._sort_key <= self.terms[k - 1][0]._sort_key:
+            if c == 0 or k and p.key <= terms[k - 1][0].key:
                 raise ValueError("cycle terms not canonical: zero coefficient or out of order")
+        return tuple.__new__(cls, (ambient_n, terms))
 
     @classmethod
     def from_terms(
@@ -59,7 +64,7 @@ class Cycle:
         acc: dict[PrimeSupport, int] = {}
         for p, c in terms.items() if isinstance(terms, Mapping) else terms:
             acc[p] = acc.get(p, 0) + c
-        canon = tuple(sorted(((p, c) for p, c in acc.items() if c), key=lambda t: t[0]._sort_key))
+        canon = tuple(sorted(((p, c) for p, c in acc.items() if c), key=lambda t: t[0].key))
         return cls(ambient_n, canon)
 
     def coeff(self, p: PrimeSupport) -> int:
@@ -94,7 +99,7 @@ def _merge(d: Cycle, e: Cycle, sign: int) -> Cycle:
     a, b = d.terms, e.terms if sign == 1 else tuple((q, sign * f) for q, f in e.terms)
     terms, i, j = [], 0, 0
     while i < len(a) and j < len(b):
-        ka, kb = a[i][0]._sort_key, b[j][0]._sort_key
+        ka, kb = a[i][0].key, b[j][0].key
         if ka < kb:
             terms.append(a[i])
         elif kb < ka:

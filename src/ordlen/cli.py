@@ -25,7 +25,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import invariants, topology
 from .chow import Cycle, PrimeSupport
@@ -105,54 +105,38 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------- syntax tree
 
 
-@dataclass(frozen=True)
-class Name:
-    text: str
-    # source positions are for messages only, so parsed scripts compare by text
-    line: int = field(compare=False)
-    col: int = field(compare=False)
+class Name(str):
+    """An identifier; its line and column are for messages only, so names compare as text."""
+
+    def __new__(cls, text: str, line: int, col: int) -> Name:
+        self = super().__new__(cls, text)
+        self.line, self.col = line, col
+        return self
+
+    def __getnewargs__(self) -> tuple[str, int, int]:
+        return str(self), self.line, self.col
+
+    text = property(str.__str__)
 
 
-@dataclass(frozen=True)
-class RingDecl:
-    names: tuple[Name, ...]
+# plain named tuples without the Value guard: no caller compares nodes of different kinds
+RingDecl = namedtuple("RingDecl", "names")
+# each monomial is a tuple of (variable name, exponent) factors; the
+# zero ideal is the empty tuple, the unit literal a monomial of no factors
+IdealExpr = namedtuple("IdealExpr", "monomials")
+Binding = namedtuple("Binding", "name ideal")
+Command = namedtuple("Command", "kind refs index ordinal", defaults=(None, None))
+Script = namedtuple("Script", "statements", defaults=((),))
 
 
-@dataclass(frozen=True)
-class IdealExpr:
-    # each monomial is a tuple of (variable name, exponent) factors; the
-    # zero ideal is the empty tuple, the unit literal a monomial of no factors
-    monomials: tuple[tuple[tuple[Name, int], ...], ...]
-
-
-@dataclass(frozen=True)
-class Binding:
-    name: Name
-    ideal: IdealExpr
-
-
-@dataclass(frozen=True)
-class Ref:
-    lower: Name
-    upper: Name | None  # None means the unit ideal (module R/I)
+class Ref(namedtuple("Ref", "lower upper")):
+    # upper None means the unit ideal (module R/I)
+    __slots__ = ()
 
     def display(self) -> str:
         if self.upper is None:
             return "R/%s" % self.lower.text
         return "%s/%s" % (self.upper.text, self.lower.text)
-
-
-@dataclass(frozen=True)
-class Command:
-    kind: str
-    refs: tuple[Ref, ...]
-    index: int | None = None
-    ordinal: Ordinal | None = None
-
-
-@dataclass
-class Script:
-    statements: list[RingDecl | Binding | Command] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------- parser
@@ -203,12 +187,12 @@ class Parser:
                              line, col) from None
 
     def parse_script(self) -> Script:
-        script = Script()
         if self.peek()[0] == "EOF":
             raise self.error("empty script")
+        statements = []
         while self.peek()[0] != "EOF":
-            script.statements.append(self.parse_statement())
-        return script
+            statements.append(self.parse_statement())
+        return Script(tuple(statements))
 
     def parse_statement(self):
         kind, value, _, _ = self.peek()
@@ -440,12 +424,11 @@ class Runner:
 
     def resolve(self, ref: Ref) -> SubquotientModule:
         """The module J/I (or R/I) named by ref, checked I <= J once per binding state."""
-        key = (ref.lower.text, ref.upper and ref.upper.text)
-        m = self.modules.get(key)
+        m = self.modules.get(ref)
         if m is None:
             lower = self.lookup(ref.lower)
             upper = unit_ideal(lower.ambient_n) if ref.upper is None else self.lookup(ref.upper)
-            m = self.modules[key] = SubquotientModule(lower, upper)
+            m = self.modules[ref] = SubquotientModule(lower, upper)
         return m
 
     def resolve_witness(self, cmd: Command) -> SubquotientModule:
@@ -454,7 +437,7 @@ class Runner:
         outer, ref = cmd.refs
         if ref.upper is not None:
             raise SemanticError("a submodule witness must be a single ideal name")
-        key = (outer.lower.text, outer.upper and outer.upper.text, ref.lower.text)
+        key = (outer, ref.lower)
         sub = self.modules.get(key)
         if sub is None:
             sub = self.modules[key] = self.resolve(outer).submodule(self.lookup(ref.lower))

@@ -8,13 +8,14 @@ minimal generating antichain of such tuples, which makes equality structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import add, le, neg
 from typing import Collection, Iterable
 
 from .chow import PrimeSupport
 from .errors import AmbientMismatchError, InvalidSubquotientError
+from .ordinal import Value
 
 
 class Monomial(tuple):
@@ -86,21 +87,20 @@ def _pairwise(op, f: Iterable[tuple], g: Collection[tuple]) -> tuple[tuple[int, 
     return _minimize(tuple(map(op, a, b)) for a in f for b in g)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """A monomial ideal as its minimal generating antichain, sorted deg-lex."""
+class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):
+    """A monomial ideal, its given generators minimised and sorted deg-lex."""
 
-    ambient_n: int
-    gens: tuple[Monomial, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for g in self.gens:
-            if g.n != self.ambient_n:
-                raise AmbientMismatchError("generator in wrong ring")
+    def __new__(cls, ambient_n: int, gens: Iterable[Iterable[int]]) -> MonomialIdeal:
+        exps = tuple(map(tuple, gens))
+        if not {ambient_n}.issuperset(map(len, exps)):
+            raise AmbientMismatchError("generator in wrong ring")
+        return tuple.__new__(cls, (ambient_n, tuple(map(Monomial, _minimize(exps)))))
 
     @classmethod
     def make(cls, ambient_n: int, gens: Iterable[Iterable[int]]) -> MonomialIdeal:
-        return cls(ambient_n, tuple(map(Monomial, _minimize(map(tuple, gens)))))
+        return cls(ambient_n, gens)
 
     @property
     def is_zero(self) -> bool:
@@ -192,20 +192,19 @@ def saturation(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     return reduce(ideal_intersection, steps, unit_ideal(i.ambient_n))
 
 
-@dataclass(frozen=True)
-class SubquotientModule:
+class SubquotientModule(Value, namedtuple("SubquotientModule", "lower upper")):
     """The module J/I presented by nested monomial ideals I <= J.
 
     (I, (1)) denotes the quotient ring R/I viewed as a module.
     """
 
-    lower: MonomialIdeal
-    upper: MonomialIdeal
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_ring(self.lower, self.upper)
-        if not self.upper.contains_ideal(self.lower):
+    def __new__(cls, lower: MonomialIdeal, upper: MonomialIdeal) -> SubquotientModule:
+        _check_ring(lower, upper)
+        if not upper.contains_ideal(lower):
             raise InvalidSubquotientError("lower ideal not contained in upper ideal")
+        return tuple.__new__(cls, (lower, upper))
 
     @classmethod
     def quotient_ring(cls, i: MonomialIdeal) -> SubquotientModule:

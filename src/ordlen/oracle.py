@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chow import PrimeSupport
 from .errors import NotArtinianError
@@ -24,6 +24,7 @@ from .monomial import (
     ideal_sum,
     unit_ideal,
 )
+from .ordinal import Value
 
 
 def _top(m: SubquotientModule) -> int:
@@ -93,14 +94,11 @@ def krull_dimension(i: MonomialIdeal) -> int:
     raise AssertionError("unreachable: the full variable set hits every support")
 
 
-@dataclass(frozen=True)
-class InstanceProfile:
+class InstanceProfile(Value, namedtuple("InstanceProfile", "max_vars max_gens max_degree ring_bias",
+                                        defaults=(4, 6, 5, 0.5))):
     """Bounds for the seeded instance generator (desk-scale by default)."""
 
-    max_vars: int = 4
-    max_gens: int = 6
-    max_degree: int = 5
-    ring_bias: float = 0.5
+    __slots__ = ()
 
 
 DEFAULT_PROFILE = InstanceProfile()

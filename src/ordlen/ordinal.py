@@ -2,37 +2,51 @@
 
 An ordinal is kept in Cantor normal form as a sparse tuple of
 (exponent, coefficient) pairs, exponents strictly decreasing and all
-coefficients positive.  Equality is therefore structural and every value
-is hashable and immutable.
+coefficients positive.  Like every library value type, Ordinal is a Value:
+an immutable named tuple, checked on construction, equal only to its own type.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Ordinal:
+class Value(tuple):
+    """Base of the library's value types: named tuples equal only to their own type."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Ordinal(Value, namedtuple("Ordinal", "terms")):
     """An ordinal below omega^omega, canonicalized on construction.
 
-    The generated comparisons are the usual total order: the sparse terms,
+    The tuple comparisons are the usual total order: the sparse terms,
     exponents decreasing, compare lexicographically exactly as the
     ordinals do (at the first differing term the larger exponent or
     coefficient wins, and a proper prefix is smaller).
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, terms: tuple[tuple[int, int], ...] = ()) -> Ordinal:
         last = None
-        for exp, coeff in self.terms:
+        for exp, coeff in terms:
             if exp < 0 or coeff <= 0:
                 raise ValueError("bad Cantor term (%d, %d)" % (exp, coeff))
             if last is not None and exp >= last:
                 raise ValueError("Cantor terms not strictly decreasing")
             last = exp
+        return tuple.__new__(cls, (terms,))
 
     @classmethod
     def from_coeffs(cls, coeffs: Mapping[int, int] | Iterable[tuple[int, int]]) -> Ordinal:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from ordlen.oracle import InstanceProfile, random_chain
@@ -14,3 +17,11 @@ def small_corpus():
     """A lighter pool for properties that need submodule construction."""
     profile = InstanceProfile(max_vars=3, max_gens=4, max_degree=3)
     return [random_chain(1000 + seed, profile) for seed in range(40)]
+
+
+@pytest.fixture(params=["deepcopy", "pickle"])
+def clone(request):
+    """Copy a value through copy.deepcopy or through a pickle round trip."""
+    if request.param == "deepcopy":
+        return copy.deepcopy
+    return lambda value: pickle.loads(pickle.dumps(value))

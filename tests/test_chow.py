@@ -13,6 +13,7 @@ from ordlen.chow import (
     zero_cycle,
 )
 from ordlen.errors import AmbientMismatchError, NonEffectiveCycleError
+from ordlen.monomial import zero_ideal
 from ordlen.ordinal import Ordinal, shuffle_sum, weaker
 
 N = 3
@@ -159,3 +160,25 @@ def test_cycle_leq_is_support_union(d, e):
 @given(effective_cycles)
 def test_binord_is_from_coeffs(d):
     assert binord(d) == Ordinal.from_coeffs([(p.dim, c) for p, c in d.terms])
+
+
+class TestValueContract:
+    """Primes and cycles are named tuples that equal only their own type."""
+
+    def test_zero_cycle_is_not_the_zero_ideal(self):
+        assert zero_cycle(2) != zero_ideal(2) and not zero_cycle(2) == zero_ideal(2)
+        assert zero_cycle(2) != (2, ()) and not zero_cycle(2) == (2, ())
+
+    def test_equal_values_hash_equal(self):
+        c, d = Cycle.from_terms(N, {PX: 2, MAX: -1}), Cycle.from_terms(N, [(MAX, -1), (PX, 2)])
+        assert c == d and hash(c) == hash(d)
+
+    def test_cycle_repr(self):
+        want = "Cycle(ambient_n=3, terms=((PrimeSupport(ambient_n=3, vars=frozenset({0})), 2),))"
+        assert repr(Cycle.from_terms(N, {PX: 2})) == want
+
+    def test_round_trip(self, clone):
+        for value in (PX, prime(4, []), Cycle.from_terms(N, {PX: 2, MAX: -1}), zero_cycle(N)):
+            back = clone(value)
+            assert back == value and hash(back) == hash(value) and repr(back) == repr(value)
+        assert clone(PXY).sort_key() == PXY.sort_key()

@@ -446,6 +446,13 @@ class TestRoundTrip:
         once = render_script(cli.parse(text))
         assert render_script(cli.parse(once)) == once
 
+    def test_copies_keep_name_positions(self, clone):
+        script = cli.parse(self.CASES[4])
+        back = clone(script)
+        assert back == script
+        for names in (script.statements[0].names, back.statements[0].names):
+            assert [(n.text, n.line, n.col) for n in names] == [("x", 2, 8), ("y", 2, 11)]
+
 
 class TestOrdinalParsing:
     @pytest.mark.parametrize(
@@ -544,15 +551,23 @@ class TestMain:
 class TestProcess:
     """`python -m ordlen.cli` started as a process of its own."""
 
-    def cli(self, *args):
+    def python(self, *args):
         # pyproject's pythonpath setting reaches only the pytest process
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8")
         return subprocess.run(
-            [sys.executable, "-m", "ordlen.cli", *args],
+            [sys.executable, *args],
             capture_output=True, encoding="utf-8", env=env, timeout=60,
         )
+
+    def cli(self, *args):
+        return self.python("-m", "ordlen.cli", *args)
+
+    def test_start_up_loads_neither_dataclasses_nor_inspect(self):
+        probe = "import sys, ordlen.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
+        done = self.python("-c", probe)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "set()\n", "")
 
     def test_eval_exits_0(self):
         done = self.cli("eval", "--ring", "x,y,z", "--ideal", "x^2, x*y", "--cmd", "len")

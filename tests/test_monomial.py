@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordlen.chow import prime
+from ordlen.chow import prime, zero_cycle
 from ordlen.errors import AmbientMismatchError, InvalidSubquotientError
 from ordlen.monomial import (
     Monomial,
@@ -21,6 +21,7 @@ from ordlen.monomial import (
     unit_ideal,
     zero_ideal,
 )
+from ordlen.oracle import DEFAULT_PROFILE, InstanceProfile, random_chain
 
 
 def ideal(n, *exps):
@@ -256,3 +257,44 @@ def test_prime_ideal_roundtrip():
     p = prime(3, [0, 2])
     assert prime_ideal(p) == ideal(3, (1, 0, 0), (0, 0, 1))
     assert prime_ideal(prime(2, [])) == zero_ideal(2)
+
+
+class TestValueContract:
+    """Ideals, subquotients and profiles are named tuples that equal only
+    their own type (a monomial equals its exponent tuple: TestExponentTuple)."""
+
+    def test_ideal_unequal_to_plain_tuples(self):
+        assert MonomialIdeal(2, ()) != (2, ()) and not MonomialIdeal(2, ()) == (2, ())
+        assert zero_ideal(2) != zero_cycle(2)
+        assert InstanceProfile() != (4, 6, 5, 0.5)
+
+    def test_reprs(self):
+        m = SubquotientModule(ideal(2, (1, 0)), unit_ideal(2))
+        assert repr(m) == (
+            "SubquotientModule(lower=MonomialIdeal(ambient_n=2, gens=((1, 0),)), "
+            "upper=MonomialIdeal(ambient_n=2, gens=((0, 0),)))"
+        )
+        want = "InstanceProfile(max_vars=4, max_gens=6, max_degree=5, ring_bias=0.5)"
+        assert repr(DEFAULT_PROFILE) == want
+
+    def test_round_trip(self, clone):
+        m, k = random_chain(3)
+        for value in (m, k, zero_ideal(3), Monomial((1, 2)), InstanceProfile(max_vars=2)):
+            back = clone(value)
+            assert back == value and hash(back) == hash(value) and type(back) is type(value)
+
+
+class TestOneConstructor:
+    """MonomialIdeal(n, gens) canonicalises exactly as MonomialIdeal.make does."""
+
+    def test_constructor_minimises_and_sorts(self):
+        redundant = MonomialIdeal(2, (Monomial((1, 0)), Monomial((2, 0))))
+        assert redundant == MonomialIdeal.make(2, [(1, 0)])
+        assert MonomialIdeal(2, [(0, 1), (1, 0)]).gens == ((1, 0), (0, 1))
+
+    def test_plain_tuple_of_wrong_length_is_an_ambient_mismatch(self):
+        with pytest.raises(AmbientMismatchError):
+            MonomialIdeal(2, [(1, 0, 0)])
+        # checked before minimising: (1,) must not divide (1, 0) away
+        with pytest.raises(AmbientMismatchError):
+            MonomialIdeal.make(2, [(1, 0), (1,)])

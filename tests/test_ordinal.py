@@ -228,3 +228,24 @@ class TestDisplay:
 
     def test_zero(self):
         assert str(ZERO) == "0"
+
+
+class TestValueContract:
+    """An Ordinal is a named tuple that equals only Ordinals."""
+
+    def test_unequal_to_plain_tuples(self):
+        assert Ordinal() != () and not Ordinal() == ()
+        assert W != (((1, 1),),) and W != ((1, 1),)
+
+    def test_equal_values_hash_equal(self):
+        assert W == ordn({1: 1}) and hash(W) == hash(ordn({1: 1}))
+        assert Ordinal() == ZERO and hash(Ordinal()) == hash(ZERO)
+
+    def test_repr(self):
+        assert repr(W) == "Ordinal(terms=((1, 1),))"
+        assert repr(ZERO) == "Ordinal(terms=())"
+
+    def test_round_trip(self, clone):
+        a = ordn({2: 1, 0: 3})
+        back = clone(a)
+        assert back == a and hash(back) == hash(a) and type(back) is Ordinal
