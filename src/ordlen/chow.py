@@ -26,6 +26,10 @@ class PrimeSupport(Value, namedtuple("PrimeSupport", "ambient_n vars key")):
             raise ValueError("variable index out of range")
         return tuple.__new__(cls, (ambient_n, vars, (len(vars), tuple(sorted(vars)))))
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> PrimeSupport:
+        return cls(*tuple(iterable)[:2])  # the stored key is recomputed from vars
+
     def __getnewargs__(self) -> tuple[int, frozenset[int]]:
         return self[:2]
 

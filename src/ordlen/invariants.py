@@ -7,11 +7,12 @@ multiplicity at p copies of omega^dim(p).
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache, partial, reduce
 from heapq import heappop, heappush
 from itertools import islice
 from operator import le, neg
-from typing import Iterator, NamedTuple
 
 from . import ordinal as ord_
 from .chow import Cycle, PrimeSupport, binord, cycle_add, cycle_sub, zero_cycle
@@ -27,7 +28,7 @@ from .monomial import (
     _minimize,
     _pairwise,
 )
-from .ordinal import Ordinal
+from .ordinal import Ordinal, Value
 
 
 def _slices(gens: tuple, v: int, cuts: list[int]) -> list[tuple]:
@@ -117,13 +118,9 @@ def height_rank(outer: SubquotientModule, inner_upper: MonomialIdeal) -> Ordinal
     return length(outer.quotient_by(inner_upper))
 
 
-class ModuleInvariants(NamedTuple):
-    order: int
-    valence: int
-    generic_length: int
-    dimension: int
-    is_unmixed: bool
-    no_embedded_primes: bool
+class ModuleInvariants(Value, namedtuple("ModuleInvariants", "order valence generic_length "
+                                         "dimension is_unmixed no_embedded_primes")):
+    __slots__ = ()
 
 
 def basic_invariants(m: SubquotientModule) -> ModuleInvariants:

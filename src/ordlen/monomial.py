@@ -9,9 +9,9 @@ minimal generating antichain of such tuples, which makes equality structural.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Collection, Iterable
 from functools import reduce
 from operator import add, le, neg
-from typing import Collection, Iterable
 
 from .chow import PrimeSupport
 from .errors import AmbientMismatchError, InvalidSubquotientError

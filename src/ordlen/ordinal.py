@@ -2,19 +2,18 @@
 
 An ordinal is kept in Cantor normal form as a sparse tuple of
 (exponent, coefficient) pairs, exponents strictly decreasing and all
-coefficients positive.  Like every library value type, Ordinal is a Value:
-an immutable named tuple, checked on construction, equal only to its own type.
+coefficients positive.  Like every library value and result type, Ordinal is
+a Value: a named tuple checked by __new__, _make and _replace, equal only to its own type.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from typing import NamedTuple
 
 
 class Value(tuple):
-    """Base of the library's value types: named tuples equal only to their own type."""
+    """Base of the library's value and result types: named tuples equal only to their own type."""
 
     __slots__ = ()
 
@@ -25,6 +24,11 @@ class Value(tuple):
         return not self == other
 
     __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Value:
+        """Build through cls(...), so that _make and namedtuple's _replace run every check."""
+        return cls(*iterable)
 
 
 class Ordinal(Value, namedtuple("Ordinal", "terms")):
@@ -124,15 +128,11 @@ ONE = Ordinal.from_int(1)
 OMEGA = Ordinal.omega_power(1)
 
 
-class OrdinalClass(NamedTuple):
+class OrdinalClass(Value, namedtuple("OrdinalClass",
+                                     "degree order valence support is_limit is_successor")):
     """Derived shape data of an ordinal; degree/order are None for zero."""
 
-    degree: int | None
-    order: int | None
-    valence: int
-    support: frozenset[int]
-    is_limit: bool
-    is_successor: bool
+    __slots__ = ()
 
 
 def classify(a: Ordinal) -> OrdinalClass:

@@ -7,9 +7,9 @@ manipulated.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial, reduce
 from operator import add
-from typing import NamedTuple
 
 from . import ordinal as ord_
 from .chow import binord
@@ -66,9 +66,8 @@ def closure(m: SubquotientModule, k: MonomialIdeal) -> MonomialIdeal:
     return ideal_sum(k, d0.upper)
 
 
-class EOpenPower(NamedTuple):
-    n: int
-    ideal: MonomialIdeal
+class EOpenPower(ord_.Value, namedtuple("EOpenPower", "n ideal")):
+    __slots__ = ()
 
 
 def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) -> EOpenPower:

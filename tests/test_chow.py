@@ -182,3 +182,18 @@ class TestValueContract:
             back = clone(value)
             assert back == value and hash(back) == hash(value) and repr(back) == repr(value)
         assert clone(PXY).sort_key() == PXY.sort_key()
+
+    def test_replace_recomputes_the_key(self):
+        moved = prime(3, [0])._replace(vars=frozenset({1, 2}))
+        assert moved == prime(3, [1, 2]) and moved.sort_key() == (2, (1, 2))
+        assert PrimeSupport._make(PXY) == PXY and PXY._replace() == PXY
+        with pytest.raises(ValueError, match="out of range"):
+            PX._replace(vars=frozenset({3}))
+
+    def test_make_and_replace_run_the_checks(self):
+        with pytest.raises(ValueError, match="not canonical"):
+            Cycle._make((2, ((prime(2, [0]), 0),)))
+        with pytest.raises(AmbientMismatchError):
+            zero_cycle(2)._replace(terms=((PX, 1),))
+        c = Cycle.from_terms(N, {PX: 2, MAX: -1})
+        assert Cycle._make(c) == c and c._replace(terms=()) == zero_cycle(N)

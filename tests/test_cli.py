@@ -569,6 +569,11 @@ class TestProcess:
         done = self.python("-c", probe)
         assert (done.returncode, done.stdout, done.stderr) == (0, "set()\n", "")
 
+    def test_start_up_without_site_loads_no_typing(self):
+        # -S: a .pth hook in site-packages (certifi's, for one) may import typing first
+        done = self.python("-S", "-c", "import sys, ordlen.cli; print('typing' in sys.modules)")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
     def test_eval_exits_0(self):
         done = self.cli("eval", "--ring", "x,y,z", "--ideal", "x^2, x*y", "--cmd", "len")
         assert (done.returncode, done.stdout, done.stderr) == (0, "len R/I = ω^2 + ω\n", "")

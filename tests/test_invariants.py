@@ -16,6 +16,7 @@ from ordlen.errors import (
     ZeroModuleError,
 )
 from ordlen.invariants import (
+    ModuleInvariants,
     _candidates,
     _slices,
     _socle,
@@ -44,7 +45,7 @@ from ordlen.monomial import (
     zero_ideal,
 )
 from ordlen.oracle import STRESS_PROFILE, oracle_artinian_length, random_chain
-from ordlen.ordinal import ZERO, Ordinal, shuffle_sum, truncate_below, weaker
+from ordlen.ordinal import ZERO, Ordinal, OrdinalClass, shuffle_sum, truncate_below, weaker
 
 
 def ideal(n, *exps):
@@ -156,6 +157,36 @@ class TestBasicInvariants:
         z = SubquotientModule(ideal(2, (1, 0)), ideal(2, (1, 0)))
         with pytest.raises(ZeroModuleError):
             basic_invariants(z)
+
+
+class TestValueContract:
+    """Module invariants are a named tuple that equals only its own type."""
+
+    def test_unequal_to_plain_tuples_and_to_an_ordinal_class(self):
+        inv = basic_invariants(M3)
+        assert inv != tuple(inv) and not inv == tuple(inv)
+        same = (1, 2, 3, 4, True, False)
+        assert ModuleInvariants(*same) != OrdinalClass(*same)
+        assert OrdinalClass(*same) != ModuleInvariants(*same)
+        assert not ModuleInvariants(*same) == OrdinalClass(*same)
+
+    def test_equal_values_hash_equal(self):
+        same = ModuleInvariants(
+            order=1, valence=2, generic_length=1, dimension=2,
+            is_unmixed=False, no_embedded_primes=False,
+        )
+        assert basic_invariants(M3) == same and hash(basic_invariants(M3)) == hash(same)
+
+    def test_repr(self):
+        assert repr(basic_invariants(M3)) == (
+            "ModuleInvariants(order=1, valence=2, generic_length=1, dimension=2, "
+            "is_unmixed=False, no_embedded_primes=False)"
+        )
+
+    def test_round_trip(self, clone):
+        inv = basic_invariants(M3)
+        back = clone(inv)
+        assert back == inv and hash(back) == hash(inv) and type(back) is ModuleInvariants
 
 
 class TestDimensionFiltration:

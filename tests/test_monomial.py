@@ -283,6 +283,14 @@ class TestValueContract:
             back = clone(value)
             assert back == value and hash(back) == hash(value) and type(back) is type(value)
 
+    def test_make_and_replace_run_the_checks(self):
+        with pytest.raises(InvalidSubquotientError):
+            SubquotientModule._make((unit_ideal(2), MonomialIdeal.make(2, [(1, 0)])))
+        assert MonomialIdeal._make((2, ((1, 0), (2, 0)))) == MonomialIdeal.make(2, [(1, 0)])
+        with pytest.raises(AmbientMismatchError):
+            zero_ideal(2)._replace(gens=((1, 0, 0),))
+        assert InstanceProfile()._replace(max_vars=2) == InstanceProfile(max_vars=2)
+
 
 class TestOneConstructor:
     """MonomialIdeal(n, gens) canonicalises exactly as MonomialIdeal.make does."""

@@ -2,9 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ordlen
+from ordlen.chow import Cycle, PrimeSupport
+from ordlen.invariants import ModuleInvariants
+from ordlen.monomial import Monomial, MonomialIdeal, SubquotientModule
+from ordlen.oracle import InstanceProfile
 from ordlen.ordinal import (
     ZERO,
     Ordinal,
+    OrdinalClass,
+    Value,
     cantor_sum,
     classify,
     leq,
@@ -16,6 +23,7 @@ from ordlen.ordinal import (
     truncate_below,
     weaker,
 )
+from ordlen.topology import EOpenPower
 
 
 def ordn(coeffs):
@@ -231,7 +239,8 @@ class TestDisplay:
 
 
 class TestValueContract:
-    """An Ordinal is a named tuple that equals only Ordinals."""
+    """Ordinals and their classifications are named tuples that equal only
+    their own type, like every library value type."""
 
     def test_unequal_to_plain_tuples(self):
         assert Ordinal() != () and not Ordinal() == ()
@@ -249,3 +258,42 @@ class TestValueContract:
         a = ordn({2: 1, 0: 3})
         back = clone(a)
         assert back == a and hash(back) == hash(a) and type(back) is Ordinal
+
+    def test_classification_unequal_to_plain_tuples(self):
+        c = classify(W)
+        assert c != tuple(c) and not c == tuple(c)
+
+    def test_classification_equal_values_hash_equal(self):
+        same = OrdinalClass(1, 1, 1, frozenset({1}), is_limit=True, is_successor=False)
+        assert classify(W) == same and hash(classify(W)) == hash(same)
+
+    def test_classification_repr(self):
+        assert repr(classify(W)) == (
+            "OrdinalClass(degree=1, order=1, valence=1, support=frozenset({1}), "
+            "is_limit=True, is_successor=False)"
+        )
+
+    def test_classification_round_trip(self, clone):
+        for value in (classify(ordn({2: 1, 0: 3})), classify(ZERO)):
+            back = clone(value)
+            assert back == value and hash(back) == hash(value) and type(back) is OrdinalClass
+
+    def test_make_and_replace_run_the_checks(self):
+        with pytest.raises(ValueError, match="bad Cantor term"):
+            Ordinal()._replace(terms=((0, -1),))
+        with pytest.raises(ValueError, match="not strictly decreasing"):
+            Ordinal._make((((0, 1), (1, 1)),))
+        assert W._replace(terms=((2, 1),)) == W2 and Ordinal._make(W) == W
+        two_w = OrdinalClass._make((1, 1, 2, frozenset({1}), True, False))
+        assert classify(W)._replace(valence=2) == two_w == classify(ordn({1: 2}))
+
+    def test_every_library_value_type_is_a_value(self):
+        value_types = {
+            Ordinal, OrdinalClass, PrimeSupport, Cycle, MonomialIdeal,
+            SubquotientModule, ModuleInvariants, EOpenPower, InstanceProfile,
+        }
+        assert all(issubclass(t, Value) for t in value_types)
+        exported = (getattr(ordlen, name) for name in ordlen.__all__)
+        classes = {c for c in exported if isinstance(c, type) and not issubclass(c, Exception)}
+        # a monomial equals its exponent tuple by design (test_monomial.TestExponentTuple)
+        assert Ordinal in classes and classes <= value_types | {Monomial}

@@ -2,6 +2,7 @@ from functools import reduce
 
 import pytest
 
+from ordlen.chow import zero_cycle
 from ordlen.errors import OrdlenError, ResourceCapError, ZeroModuleError
 from ordlen.invariants import (
     associated_primes,
@@ -18,6 +19,7 @@ from ordlen.monomial import (
     maximal_ideal,
     prime_ideal,
     unit_ideal,
+    zero_ideal,
 )
 from ordlen.ordinal import Ordinal
 from ordlen.topology import (
@@ -145,6 +147,30 @@ class TestEOpenPower:
     def test_zero_module(self):
         with pytest.raises(ZeroModuleError):
             find_e_open_power(SubquotientModule.quotient_ring(unit_ideal(2)))
+
+
+class TestValueContract:
+    """An e-open power is a named tuple that equals only its own type."""
+
+    def test_unequal_to_plain_tuples(self):
+        r = find_e_open_power(M2)
+        assert r != (r.n, r.ideal) and not r == (r.n, r.ideal)
+        # contents (2, ()), like the zero cycle and the zero ideal of k[x, y]
+        assert EOpenPower(2, ()) != zero_cycle(2) and EOpenPower(2, ()) != zero_ideal(2)
+
+    def test_equal_values_hash_equal(self):
+        same = EOpenPower(n=2, ideal=ideal(2, (0, 2), (1, 1), (2, 0)))
+        assert find_e_open_power(M2) == same and hash(find_e_open_power(M2)) == hash(same)
+
+    def test_repr(self):
+        assert repr(find_e_open_power(M2)) == (
+            "EOpenPower(n=2, ideal=MonomialIdeal(ambient_n=2, gens=((2, 0), (1, 1), (0, 2))))"
+        )
+
+    def test_round_trip(self, clone):
+        r = find_e_open_power(M2)
+        back = clone(r)
+        assert back == r and hash(back) == hash(r) and type(back) is EOpenPower
 
 
 def e_open_reference(r_mod, cap):
