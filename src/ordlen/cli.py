@@ -164,10 +164,6 @@ class Parser:
             return True
         return False
 
-    def expect_sym(self, sym: str) -> None:
-        if not self.accept(sym):
-            raise self.error("expected %r" % sym)
-
     def expect_ident(self, what: str = "identifier") -> Name:
         kind, value, line, col = self.peek()
         if kind != "IDENT":
@@ -214,9 +210,10 @@ class Parser:
         return RingDecl(tuple(names))
 
     def parse_binding(self) -> Binding:
-        name = self.expect_ident("ideal name")
-        self.expect_sym("=")
-        return Binding(name, self.parse_ideal())
+        # parse_statement has seen the name and its "="
+        _, value, line, col = self.peek()
+        self.pos += 2
+        return Binding(Name(value, line, col), self.parse_ideal())
 
     def parse_ideal(self) -> IdealExpr:
         if self.peek()[:2] == ("INT", "0"):
@@ -359,8 +356,8 @@ class Runner:
         self.out = out if out is not None else sys.stdout
         self.names: list[str] | None = None
         self.ideals: dict[str, MonomialIdeal] = {}
-        # the modules resolved since the last binding, keyed by ideal names
-        self.modules: dict[tuple, SubquotientModule] = {}
+        # the modules J/I resolved since the last binding, keyed by Ref; no witness K/I
+        self.modules: dict[Ref, SubquotientModule] = {}
 
     def emit(self, text_line: str, json_obj: dict) -> None:
         if self.as_json:
@@ -423,7 +420,8 @@ class Runner:
         return self.ideals[name.text]
 
     def resolve(self, ref: Ref) -> SubquotientModule:
-        """The module J/I (or R/I) named by ref, checked I <= J once per binding state."""
+        """The module J/I (or R/I) named by ref, checked I <= J and cached once per
+        binding state; only modules are cached, never submodules."""
         m = self.modules.get(ref)
         if m is None:
             lower = self.lookup(ref.lower)
@@ -431,24 +429,17 @@ class Runner:
             m = self.modules[ref] = SubquotientModule(lower, upper)
         return m
 
-    def resolve_witness(self, cmd: Command) -> SubquotientModule:
-        """The submodule K/I of the command's module J/I named by its witness
-        ideal K, checked I <= K <= J once per binding state."""
-        outer, ref = cmd.refs
-        if ref.upper is not None:
-            raise SemanticError("a submodule witness must be a single ideal name")
-        key = (outer, ref.lower)
-        sub = self.modules.get(key)
-        if sub is None:
-            sub = self.modules[key] = self.resolve(outer).submodule(self.lookup(ref.lower))
-        return sub
-
     def exec_command(self, cmd: Command) -> None:
         names = self.require_ring()
         m = self.resolve(cmd.refs[0])
         disp = cmd.refs[0].display()
         # homvanishes calls its first module the source; key order is output
         obj = {"cmd": cmd.kind, "source" if cmd.kind == "homvanishes" else "module": disp}
+        if cmd.kind in ("open", "iopen", "closure"):
+            witness = cmd.refs[1]
+            if witness.upper is not None:
+                raise SemanticError("a submodule witness must be a single ideal name")
+            k = self.lookup(witness.lower)  # topology checks I <= K <= J
         if cmd.kind == "len":
             mu = invariants.length(m)
             text = "len %s = %s" % (disp, self.disp(mu))
@@ -467,18 +458,16 @@ class Runner:
             text = joiner.join(render_ideal(k, names) for k in ideals)
             obj["ideals"] = [ideal_json(k, names) for k in ideals]
         elif cmd.kind in ("open", "iopen"):
-            sub = self.resolve_witness(cmd)
             if cmd.kind == "open":
-                opn, label = topology.is_open(m, sub.upper), "open"
+                opn, label = topology.is_open(m, k), "open"
             else:
-                opn, label = topology.is_i_open(m, sub.upper, cmd.index), "i-open"
+                opn, label = topology.is_i_open(m, k, cmd.index), "i-open"
                 obj["i"] = cmd.index
-            sub_len = invariants.length(sub)
+            sub_len = invariants.length(SubquotientModule(m.lower, k))
             text = label if opn else "not %s (len = %s)" % (label, self.disp(sub_len))
-            obj.update({"submodule": render_ideal(sub.upper, names), cmd.kind: opn,
+            obj.update({"submodule": render_ideal(k, names), cmd.kind: opn,
                         "length": ordinal_json(sub_len), "display": self.disp(sub_len)})
         elif cmd.kind == "closure":
-            k = self.resolve_witness(cmd).upper
             cl = topology.closure(m, k)
             text = render_ideal(cl, names)
             obj.update(submodule=render_ideal(k, names), ideal=ideal_json(cl, names))

@@ -115,10 +115,13 @@ class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):
         return max((g.degree for g in self.gens), default=0)
 
     def contains(self, m: tuple[int, ...]) -> bool:
+        if len(m) != self.ambient_n:
+            raise AmbientMismatchError("monomial in wrong ring")
         return any(all(map(le, g, m)) for g in self.gens)
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
-        return all(self.contains(g) for g in other.gens)
+        _check_ring(self, other)
+        return all(any(all(map(le, g, h)) for g in self.gens) for h in other.gens)
 
 
 def zero_ideal(n: int) -> MonomialIdeal:
@@ -201,7 +204,6 @@ class SubquotientModule(Value, namedtuple("SubquotientModule", "lower upper")):
     __slots__ = ()
 
     def __new__(cls, lower: MonomialIdeal, upper: MonomialIdeal) -> SubquotientModule:
-        _check_ring(lower, upper)
         if not upper.contains_ideal(lower):
             raise InvalidSubquotientError("lower ideal not contained in upper ideal")
         return tuple.__new__(cls, (lower, upper))
@@ -218,14 +220,17 @@ class SubquotientModule(Value, namedtuple("SubquotientModule", "lower upper")):
     def is_zero(self) -> bool:
         return self.lower.contains_ideal(self.upper)
 
-    def submodule(self, k: MonomialIdeal) -> SubquotientModule:
-        """The submodule K/I of J/I; requires I <= K <= J."""
+    def _check_witness(self, k: MonomialIdeal) -> None:
+        # K/I and J/K are then valid, so the callers skip __new__'s containment test
         if not k.contains_ideal(self.lower) or not self.upper.contains_ideal(k):
             raise InvalidSubquotientError("witness ideal not between I and J")
-        return SubquotientModule(self.lower, k)
+
+    def submodule(self, k: MonomialIdeal) -> SubquotientModule:
+        """The submodule K/I of J/I; requires I <= K <= J."""
+        self._check_witness(k)
+        return tuple.__new__(SubquotientModule, (self.lower, k))
 
     def quotient_by(self, k: MonomialIdeal) -> SubquotientModule:
         """The quotient (J/I)/(K/I) = J/K; requires I <= K <= J."""
-        if not k.contains_ideal(self.lower) or not self.upper.contains_ideal(k):
-            raise InvalidSubquotientError("witness ideal not between I and J")
-        return SubquotientModule(k, self.upper)
+        self._check_witness(k)
+        return tuple.__new__(SubquotientModule, (k, self.upper))

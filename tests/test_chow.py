@@ -85,6 +85,8 @@ def test_ambient_mismatch_rejected():
     with pytest.raises(AmbientMismatchError):
         cycle_add(zero_cycle(2), zero_cycle(3))
     with pytest.raises(AmbientMismatchError):
+        cycle_leq(zero_cycle(2), zero_cycle(3))
+    with pytest.raises(AmbientMismatchError):
         Cycle.from_terms(2, {PX: 1})
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ordlen import cli
 from ordlen.errors import SubmoduleSearchError
+from ordlen.monomial import SubquotientModule
 
 EXAMPLE = """\
 ring x,y,z
@@ -120,6 +121,7 @@ class TestGoldenJson:
         ("cycle I", "[(x)] + [(x,y)]",
          '{"cmd": "cycle", "module": "R/I", "cycle": [{"vars": ["x"], "mult": 1}, '
          '{"vars": ["x", "y"], "mult": 1}]}'),
+        ("cycle I/I", "0", '{"cmd": "cycle", "module": "I/I", "cycle": []}'),
         ("ass I", "(x), (x,y)",
          '{"cmd": "ass", "module": "R/I", "primes": [["x"], ["x", "y"]]}'),
         ("filtration I", "(x^2, x*y) ⊆ (x) ⊆ (1)",
@@ -194,6 +196,8 @@ class TestGoldenErrors:
         pytest.param("ring x\nI = x\nlen I\nsubmodlen I %sw\n" % LONG, 1,
                      "parse error at line 4, column 13: integer literal of 5000 digits is too long",
                      id="long-literal"),
+        ("ring x\nI = x\nsubmodlen I x\n", 1,
+         "parse error at line 3, column 13: expected an ordinal term (found 'x')"),
         ("ring x,y\nI = x*q^2\n", 2,
          "semantic error: undefined variable 'q' at line 2, column 7"),
         ("ring x,y\nI = x\nlen J/I\n", 2,
@@ -230,6 +234,21 @@ class TestRebinding:
         assert run(text) == (
             2, "len J/I = ω\n", "semantic error: lower ideal not contained in upper ideal\n"
         )
+
+
+class TestWitnessCheckedOnce:
+    def test_one_submodule_per_witness_command(self, monkeypatch):
+        calls = []
+        submodule = SubquotientModule.submodule
+
+        def counted(self, k):
+            calls.append(k)
+            return submodule(self, k)
+
+        monkeypatch.setattr(SubquotientModule, "submodule", counted)
+        text = "ring x,y\nI = x^2\nK = x\nopen I K\niopen 0 I K\nclosure I K\n"
+        assert run(text) == (0, "not open (len = ω)\nnot i-open (len = ω)\n(x)\n", "")
+        assert len(calls) == 3
 
 
 class TestExitCodes:

@@ -205,6 +205,8 @@ class TestDimensionFiltration:
 
     def test_below_everything(self):
         assert dimension_filtration(M3, -1).is_zero
+        with pytest.raises(ValueError):
+            dimension_filtration(M3, -2)
 
     def test_lengths_are_truncations(self):
         m = ring_mod(3, (1, 1, 0), (0, 2, 1), (2, 0, 2))

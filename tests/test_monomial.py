@@ -138,6 +138,17 @@ class TestMembership:
         assert i.contains_ideal(ideal(2, (2, 0), (1, 1)))
         assert not ideal(2, (2, 0)).contains_ideal(i)
 
+    def test_contains_rejects_a_monomial_of_another_ring(self):
+        # map() stops at the shorter tuple, so divisibility alone accepts both
+        for m in ((1,), (5, 5, 5)):
+            with pytest.raises(AmbientMismatchError):
+                ideal(2, (1, 0)).contains(m)
+
+    def test_contains_ideal_rejects_another_ring(self):
+        for other in (zero_ideal(3), ideal(3, (1, 0, 5))):
+            with pytest.raises(AmbientMismatchError, match="ideals over different rings"):
+                ideal(2, (1, 0)).contains_ideal(other)
+
 
 class TestSumIntersectionProduct:
     def test_sum(self):
@@ -163,6 +174,8 @@ class TestSumIntersectionProduct:
 
     def test_power_zero_is_unit(self):
         assert ideal_power(ideal(2, (1, 0)), 0) == unit_ideal(2)
+        with pytest.raises(ValueError):
+            ideal_power(ideal(2, (1, 0)), -1)
 
 
 class TestColon:
@@ -245,12 +258,22 @@ class TestSubquotient:
         assert m.quotient_by(k) == SubquotientModule(k, m.upper)
         with pytest.raises(InvalidSubquotientError):
             m.submodule(ideal(2, (0, 1)))
+        with pytest.raises(InvalidSubquotientError, match="witness ideal not between I and J"):
+            m.quotient_by(ideal(2, (0, 1)))
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatchError):
             SubquotientModule(zero_ideal(2), unit_ideal(3))
         with pytest.raises(AmbientMismatchError):
             ideal_sum(zero_ideal(2), zero_ideal(3))
+
+    def test_witness_over_another_ring(self):
+        m = SubquotientModule.quotient_ring(ideal(2, (2, 0), (0, 2)))
+        for k in (ideal(3, (1, 0, 0)), zero_ideal(3)):
+            with pytest.raises(AmbientMismatchError, match="ideals over different rings"):
+                m.submodule(k)
+            with pytest.raises(AmbientMismatchError, match="ideals over different rings"):
+                m.quotient_by(k)
 
 
 def test_prime_ideal_roundtrip():

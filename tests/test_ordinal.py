@@ -1,8 +1,11 @@
+import types
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import ordlen
+import ordlen.errors
 from ordlen.chow import Cycle, PrimeSupport
 from ordlen.invariants import ModuleInvariants
 from ordlen.monomial import Monomial, MonomialIdeal, SubquotientModule
@@ -119,6 +122,10 @@ class TestScalarMul:
 
     def test_two(self):
         assert scalar_mul(2, ordn({2: 1, 1: 1})) == ordn({2: 2, 1: 2})
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            scalar_mul(-1, W)
 
     @given(st.integers(0, 5), ordinals)
     def test_matches_folded_shuffle(self, n, a):
@@ -297,3 +304,14 @@ class TestValueContract:
         classes = {c for c in exported if isinstance(c, type) and not issubclass(c, Exception)}
         # a monomial equals its exponent tuple by design (test_monomial.TestExponentTuple)
         assert Ordinal in classes and classes <= value_types | {Monomial}
+
+    def test_star_import_binds_every_error_class_and_no_module(self):
+        names = {}
+        exec("from ordlen import *", names)
+        del names["__builtins__"]
+        errors = {c for c in vars(ordlen.errors).values() if isinstance(c, type)}
+        assert len(errors) == 9 and errors <= set(names.values())
+        # __all__ is written out: every public name of the package but its submodules
+        public = {n for n in dir(ordlen) if not n.startswith("_")}
+        modules = {n for n in public if isinstance(getattr(ordlen, n), types.ModuleType)}
+        assert "errors" in modules and set(names) == public - modules
