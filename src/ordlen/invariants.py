@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import islice
 from operator import le, neg
@@ -25,6 +25,7 @@ from .errors import (
 from .monomial import (
     MonomialIdeal,
     SubquotientModule,
+    _meet,
     _minimize,
     _pairwise,
 )
@@ -163,8 +164,7 @@ def _filtration(m: SubquotientModule) -> Iterator[MonomialIdeal]:
     for i in range(-1, max((p.dim for p in ass), default=-1)):
         for p in ass:
             if p.dim == i:
-                sats = [[g[:v] + (0,) + g[v + 1 :] for g in sat] for v in p.vars]
-                sat = reduce(partial(_pairwise, max), sats, ((0,) * n,))
+                sat = _meet(([g[:v] + (0,) + g[v + 1 :] for g in sat] for v in p.vars), n)
         yield m.lower if sat is low else MonomialIdeal.make(n, _pairwise(max, sat, up))
     yield m.upper
 

@@ -2,15 +2,17 @@
 
 The field k is purely formal: every invariant computed downstream is
 field-independent, so no coefficient arithmetic exists anywhere.  A
-monomial is the tuple of its exponents, and an ideal's gens are its sorted
-minimal generating antichain of such tuples, which makes equality structural.
+monomial is the tuple of its exponents, with times as its only arithmetic,
+and an ideal's gens are its sorted minimal generating antichain of such
+tuples, which makes equality structural.  Every ideal operation is one
+_pairwise or _meet on those antichains.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Collection, Iterable
-from functools import reduce
+from functools import partial, reduce
 from operator import add, le, neg
 
 from .chow import PrimeSupport
@@ -34,10 +36,6 @@ class Monomial(tuple):
         return self
 
     @property
-    def n(self) -> int:
-        return len(self)
-
-    @property
     def degree(self) -> int:
         return sum(self)
 
@@ -49,18 +47,10 @@ class Monomial(tuple):
     def support(self) -> frozenset[int]:
         return frozenset(i for i, e in enumerate(self) if e)
 
-    def divides(self, other: tuple[int, ...]) -> bool:
-        return all(map(le, self, other))
-
     def times(self, other: tuple[int, ...]) -> Monomial:
+        if len(other) != len(self):
+            raise AmbientMismatchError("monomial in wrong ring")
         return Monomial(map(add, self, other))
-
-    def lcm(self, other: tuple[int, ...]) -> Monomial:
-        return Monomial(map(max, self, other))
-
-    def quotient_by(self, other: tuple[int, ...]) -> Monomial:
-        """self / gcd(self, other), the monomial colon quotient."""
-        return Monomial(max(a - b, 0) for a, b in zip(self, other))
 
     def sort_key(self) -> tuple:
         # degree-lexicographic with x_0 > x_1 > ..., the deterministic
@@ -82,9 +72,16 @@ def _minimize(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 
 
 def _pairwise(op, f: Iterable[tuple], g: Collection[tuple]) -> tuple[tuple[int, ...], ...]:
-    """The minimal antichain of op(a, b) entrywise over a in f, b in g: the
-    meets (max) of _filtration and the powers (add) of find_e_open_power."""
+    """The minimal antichain of op(a, b) entrywise over a in f, b in g: for
+    the ideals they generate, the intersection (max) or the product (add).
+    With _meet it is every ideal operation, public and in the engine."""
     return _minimize(tuple(map(op, a, b)) for a in f for b in g)
+
+
+def _meet(antichains: Iterable[Iterable[tuple]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The minimal antichain of the intersection of the ideals the given
+    antichains generate; the unit ideal's when there are none."""
+    return reduce(partial(_pairwise, max), map(_minimize, antichains), ((0,) * n,))
 
 
 class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):
@@ -96,7 +93,7 @@ class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):
         exps = tuple(map(tuple, gens))
         if not {ambient_n}.issuperset(map(len, exps)):
             raise AmbientMismatchError("generator in wrong ring")
-        return tuple.__new__(cls, (ambient_n, tuple(map(Monomial, _minimize(exps)))))
+        return _ideal(ambient_n, _minimize(exps))
 
     @classmethod
     def make(cls, ambient_n: int, gens: Iterable[Iterable[int]]) -> MonomialIdeal:
@@ -122,6 +119,11 @@ class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):
     def contains_ideal(self, other: MonomialIdeal) -> bool:
         _check_ring(self, other)
         return all(any(all(map(le, g, h)) for g in self.gens) for h in other.gens)
+
+
+def _ideal(n: int, antichain: Iterable[tuple[int, ...]]) -> MonomialIdeal:
+    """The ideal of an antichain that _minimize has already sorted and minimised."""
+    return tuple.__new__(MonomialIdeal, (n, tuple(map(Monomial, antichain))))
 
 
 def zero_ideal(n: int) -> MonomialIdeal:
@@ -153,12 +155,12 @@ def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ring(i, j)
-    return MonomialIdeal.make(i.ambient_n, [f.lcm(g) for f in i.gens for g in j.gens])
+    return _ideal(i.ambient_n, _pairwise(max, i.gens, j.gens))
 
 
 def ideal_product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ring(i, j)
-    return MonomialIdeal.make(i.ambient_n, [f.times(g) for f in i.gens for g in j.gens])
+    return _ideal(i.ambient_n, _pairwise(add, i.gens, j.gens))
 
 
 def ideal_power(i: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -174,10 +176,8 @@ def colon(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     """(i : j), the intersection of (i : g) over the generators g of j;
     the colon by the zero ideal is the unit ideal."""
     _check_ring(i, j)
-    if j.is_zero:
-        return unit_ideal(i.ambient_n)
-    steps = (MonomialIdeal.make(i.ambient_n, [f.quotient_by(g) for f in i.gens]) for g in j.gens)
-    return reduce(ideal_intersection, steps)
+    steps = ([tuple(max(a - b, 0) for a, b in zip(f, g)) for f in i.gens] for g in j.gens)
+    return _ideal(i.ambient_n, _meet(steps, i.ambient_n))
 
 
 def saturation(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -185,14 +185,8 @@ def saturation(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     generators g of j, each being i with the exponents on supp(g) set to 0;
     the saturation by the zero ideal is the unit ideal."""
     _check_ring(i, j)
-    steps = (
-        MonomialIdeal.make(
-            i.ambient_n,
-            [tuple(0 if e else a for a, e in zip(f, g)) for f in i.gens],
-        )
-        for g in j.gens
-    )
-    return reduce(ideal_intersection, steps, unit_ideal(i.ambient_n))
+    steps = ([tuple(0 if e else a for a, e in zip(f, g)) for f in i.gens] for g in j.gens)
+    return _ideal(i.ambient_n, _meet(steps, i.ambient_n))
 
 
 class SubquotientModule(Value, namedtuple("SubquotientModule", "lower upper")):

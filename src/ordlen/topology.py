@@ -8,7 +8,6 @@ manipulated.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial, reduce
 from operator import add
 
 from . import ordinal as ord_
@@ -25,6 +24,7 @@ from .invariants import (
 from .monomial import (
     MonomialIdeal,
     SubquotientModule,
+    _meet,
     _minimize,
     _pairwise,
     ideal_sum,
@@ -86,8 +86,7 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
         raise ZeroModuleError("the zero module has no order")
     e = min(p.dim for p in fc.support)
     target = ord_.truncate_above(binord(fc), e)
-    primes = (prime_ideal(p).gens for p in fc.support if p.dim == e)
-    a = reduce(partial(_pairwise, max), primes, power)
+    a = _meet((prime_ideal(p).gens for p in fc.support if p.dim == e), n_vars)
     for n in range(1, cap + 1):
         power = _pairwise(add, power, a)  # a^n, carried forward
         k = _minimize(power + low)

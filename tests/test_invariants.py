@@ -35,11 +35,9 @@ from ordlen.monomial import (
     Monomial,
     MonomialIdeal,
     SubquotientModule,
-    colon,
     ideal_intersection,
     ideal_sum,
     maximal_ideal,
-    prime_ideal,
     unit_ideal,
     variable,
     zero_ideal,
@@ -426,15 +424,39 @@ socle_cases = st.integers(1, 4).flatmap(
 )
 
 
+def in_ideal(gens, y):
+    return any(all(map(le, g, y)) for g in gens)
+
+
+def minimal_points(top, member):
+    """The minimal points y of the box 0 <= y <= top with member(y), in
+    sort_key order: the generators of the monomial ideal that member
+    decides, when the box holds all of them."""
+    box = itertools.product(*(range(t + 1) for t in top))
+    points = [
+        y
+        for y in box
+        if member(y)
+        and not any(y[v] and member(y[:v] + (y[v] - 1,) + y[v + 1 :]) for v in range(len(y)))
+    ]
+    return sorted(points, key=lambda y: (sum(y), tuple(-e for e in y)))
+
+
 @given(socle_cases)
 def test_socle_is_the_colon_outside_k(case):
-    # the seeds are the generators of (K : p) cap J outside K, with colon
-    # as the definition; K need not lie in J, and p may be the zero prime
+    # the seeds are the generators of (K : p) cap J outside K: y in J with
+    # y + e_i in K for every x_i in p, whose generators lie in the box of
+    # K's and J's exponents; K need not lie in J, and p may be the zero prime
     n, k_gens, j_gens, vs = case
     k, j = MonomialIdeal.make(n, k_gens), MonomialIdeal.make(n, j_gens)
     p = PrimeSupport(n, vs)
-    gens = ideal_intersection(colon(k, prime_ideal(p)), j).gens
-    expected = [g.exponents for g in gens if not k.contains(g)]
+
+    def member(y):
+        raised = (y[:i] + (y[i] + 1,) + y[i + 1 :] for i in vs)
+        return in_ideal(j_gens, y) and all(in_ideal(k_gens, z) for z in raised)
+
+    top = [max((g[v] for g in k_gens + j_gens), default=0) for v in range(n)]
+    expected = [y for y in minimal_points(top, member) if not in_ideal(k_gens, y)]
     assert _socle(exponents_of(k), exponents_of(j), p) == expected
 
 
@@ -534,15 +556,15 @@ slice_cases = st.integers(1, 4).flatmap(
 @given(slice_cases)
 def test_slice_is_the_free_part_of_the_colon(case):
     # every cut's slice is the x_v-free generators of (i : x_v^k), the
-    # slice's definition; the cuts are 0, every g_v and some extra values
+    # slice's definition: the minimal x_v-free y with x_v^k * y in i; the
+    # cuts are 0, every g_v and some extra values
     n, gens, v, extra = case
-    i = MonomialIdeal.make(n, gens)
-    exps = tuple(g.exponents for g in i.gens)
+    exps = exponents_of(MonomialIdeal.make(n, gens))
     cuts = sorted({0} | {e[v] for e in exps} | extra)
+    top = [0 if u == v else max((g[u] for g in gens), default=0) for u in range(n)]
     for k, got in zip(cuts, _slices(exps, v, cuts), strict=True):
-        x_v_k = MonomialIdeal(n, (Monomial(tuple(k if j == v else 0 for j in range(n))),))
-        expected = tuple(g.exponents for g in colon(i, x_v_k).gens if not g.exponents[v])
-        assert got == expected
+        expected = minimal_points(top, lambda y: in_ideal(gens, y[:v] + (k,) + y[v + 1 :]))
+        assert got == tuple(expected)
 
 
 def fixed_degree(n, g, d):

@@ -1,4 +1,5 @@
 import itertools
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -47,25 +48,9 @@ class TestAgainstDefinitions:
     """Each exponent operation against its element-wise definition."""
 
     @given(monomial_pairs)
-    def test_divides(self, pair):
-        a, b = pair
-        assert Monomial(a).divides(Monomial(b)) == all(x <= y for x, y in zip(a, b))
-
-    @given(monomial_pairs)
     def test_times(self, pair):
         a, b = pair
         assert Monomial(a).times(Monomial(b)).exponents == tuple(x + y for x, y in zip(a, b))
-
-    @given(monomial_pairs)
-    def test_lcm(self, pair):
-        a, b = pair
-        assert Monomial(a).lcm(Monomial(b)).exponents == tuple(max(x, y) for x, y in zip(a, b))
-
-    @given(monomial_pairs)
-    def test_quotient_by(self, pair):
-        a, b = pair
-        expected = tuple(max(x - y, 0) for x, y in zip(a, b))
-        assert Monomial(a).quotient_by(Monomial(b)).exponents == expected
 
     @given(monomial_pairs)
     def test_sort_key(self, pair):
@@ -87,6 +72,94 @@ class TestAgainstDefinitions:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Monomial((0, -1))
+
+    def test_times_rejects_a_monomial_of_another_ring(self):
+        # map() stops at the shorter tuple, so (1, 0) * (1,) would be (2,)
+        for other in ((1,), (0, 0, 3), (5, 5, 5)):
+            with pytest.raises(AmbientMismatchError, match="monomial in wrong ring"):
+                Monomial((1, 0)).times(other)
+
+
+ideal_pairs = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5),
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4),
+    )
+)
+
+
+def divides(g, y):
+    return all(a <= b for a, b in zip(g, y, strict=True))
+
+
+def member(gens, y):
+    return any(divides(g, y) for g in gens)
+
+
+class TestIdealOperationsAgainstMembership:
+    """Each public ideal operation against membership by its definition, on
+    every point of an exponent box that holds the generators of both sides;
+    two monomial ideals that agree on such a box are equal."""
+
+    def check(self, got, n, top, definition):
+        keys = [g.sort_key() for g in got.gens]
+        assert keys == sorted(set(keys)) and all(type(g) is Monomial for g in got.gens)
+        assert not any(divides(g, h) for g, h in itertools.permutations(got.gens, 2))
+        for y in itertools.product(range(top + 1), repeat=n):
+            assert got.contains(y) == definition(y)
+
+    @given(ideal_pairs)
+    def test_sum(self, case):
+        n, f, g = case
+        got = ideal_sum(MonomialIdeal(n, f), MonomialIdeal(n, g))
+        self.check(got, n, 3, lambda y: member(f, y) or member(g, y))
+
+    @given(ideal_pairs)
+    def test_intersection(self, case):
+        # the generators are the lcms (entrywise max) of pairs of generators
+        n, f, g = case
+        got = ideal_intersection(MonomialIdeal(n, f), MonomialIdeal(n, g))
+        self.check(got, n, 3, lambda y: member(f, y) and member(g, y))
+
+    @given(ideal_pairs)
+    def test_product(self, case):
+        n, f, g = case
+        got = ideal_product(MonomialIdeal(n, f), MonomialIdeal(n, g))
+        sums = [tuple(map(add, a, b)) for a in f for b in g]
+        self.check(got, n, 6, lambda y: member(sums, y))
+
+    @given(ideal_pairs, st.integers(0, 3))
+    def test_power(self, case, k):
+        # y lies in I^k iff the sum of some k generators divides it
+        n, f, _ = case
+        got = ideal_power(MonomialIdeal(n, f), k)
+        multisets = itertools.combinations_with_replacement(f, k)
+        sums = [tuple(map(sum, zip(*c, (0,) * n))) for c in multisets]
+        self.check(got, n, 3 * k, lambda y: member(sums, y))
+
+    @given(ideal_pairs)
+    def test_colon(self, case):
+        # y + g in I for every generator g of J: (I : g) is generated by
+        # the f - gcd(f, g), the entrywise max(f - g, 0)
+        n, f, g = case
+        got = colon(MonomialIdeal(n, f), MonomialIdeal(n, g))
+        self.check(got, n, 3, lambda y: all(member(f, tuple(map(add, y, h))) for h in g))
+
+    @given(ideal_pairs)
+    def test_saturation(self, case):
+        # y + t*g in I for some t per generator g of J; exponents of I are
+        # at most 3, so t = 3 reaches past them on the support of g
+        n, f, g = case
+        got = saturation(MonomialIdeal(n, f), MonomialIdeal(n, g))
+
+        def definition(y):
+            def reaches(h):
+                return any(member(f, [a + t * b for a, b in zip(y, h)]) for t in range(4))
+
+            return all(map(reaches, g))
+
+        self.check(got, n, 3, definition)
 
 
 class TestExponentTuple:

@@ -198,10 +198,10 @@ def test_oracles_reach_no_ideal_kernel(monkeypatch):
         raise AssertionError("an oracle reached an ideal kernel of the engine")
 
     monkeypatch.setattr(MonomialIdeal, "make", classmethod(unreachable))
-    monkeypatch.setattr(monomial, "_minimize", unreachable)
-    monkeypatch.setattr(monomial, "_pairwise", unreachable)
+    for name in ("_minimize", "_ideal", "_pairwise", "_meet"):
+        monkeypatch.setattr(monomial, name, unreachable)
     for namespace in (monomial, oracle):
-        for name in ("saturation", "ideal_intersection"):
+        for name in ("saturation", "ideal_intersection", "colon", "ideal_product"):
             monkeypatch.setattr(namespace, name, unreachable, raising=False)
     assert answers(oracle_lcl, oracle_artinian_length) == want
 

@@ -1,4 +1,5 @@
-from functools import reduce
+import itertools
+from operator import le
 
 import pytest
 
@@ -13,11 +14,7 @@ from ordlen.invariants import (
 from ordlen.monomial import (
     MonomialIdeal,
     SubquotientModule,
-    ideal_intersection,
-    ideal_product,
-    ideal_sum,
     maximal_ideal,
-    prime_ideal,
     unit_ideal,
     zero_ideal,
 )
@@ -174,15 +171,25 @@ class TestValueContract:
 
 
 def e_open_reference(r_mod, cap):
-    """The least power of a with (a^n + I)/I e-open, by ideal operations and is_i_open."""
-    e = basic_invariants(r_mod).order
-    primes = [prime_ideal(p) for p in associated_primes(r_mod) if p.dim == e]
+    """The least power of a with (a^n + I)/I e-open, by definition and is_i_open.
+
+    A monomial lies in a, the intersection of the primes, iff its support
+    meets each of them, so a is generated by the minimal squarefree such
+    monomials, and a^n by the sums of n-multisets of those.
+    """
+    e, n_vars = basic_invariants(r_mod).order, r_mod.ambient_n
+    primes = [p.vars for p in associated_primes(r_mod) if p.dim == e]
     # the order is the least dimension of an associated prime, so one has dimension e
     assert primes
-    a, power = reduce(ideal_intersection, primes), unit_ideal(r_mod.ambient_n)
+    hitting = [
+        y
+        for y in itertools.product((0, 1), repeat=n_vars)
+        if all(any(y[v] for v in vs) for vs in primes)
+    ]
+    a = [y for y in hitting if not any(z != y and all(map(le, z, y)) for z in hitting)]
     for n in range(1, cap + 1):
-        power = ideal_product(power, a)
-        k = ideal_sum(power, r_mod.lower)
+        powers = [tuple(map(sum, zip(*c))) for c in itertools.combinations_with_replacement(a, n)]
+        k = MonomialIdeal.make(n_vars, powers + list(r_mod.lower.gens))
         if is_i_open(r_mod, k, e):
             return EOpenPower(n, k)
     return ResourceCapError
