@@ -21,7 +21,8 @@ class PrimeSupport(Value, namedtuple("PrimeSupport", "ambient_n vars key")):
 
     __slots__ = ()
 
-    def __new__(cls, ambient_n: int, vars: frozenset[int]) -> PrimeSupport:
+    def __new__(cls, ambient_n: int, vars: Iterable[int]) -> PrimeSupport:
+        vars = frozenset(vars)
         if any(v < 0 or v >= ambient_n for v in vars):
             raise ValueError("variable index out of range")
         return tuple.__new__(cls, (ambient_n, vars, (len(vars), tuple(sorted(vars)))))
@@ -53,7 +54,8 @@ class Cycle(Value, namedtuple("Cycle", "ambient_n terms")):
 
     __slots__ = ()
 
-    def __new__(cls, ambient_n: int, terms: tuple[tuple[PrimeSupport, int], ...] = ()) -> Cycle:
+    def __new__(cls, ambient_n: int, terms: Iterable[tuple[PrimeSupport, int]] = ()) -> Cycle:
+        terms = tuple(terms)
         for k, (p, c) in enumerate(terms):
             if p.ambient_n != ambient_n:
                 raise AmbientMismatchError("cycle term in wrong ring")

@@ -31,7 +31,7 @@ from . import invariants, topology
 from .chow import Cycle, PrimeSupport
 from .errors import OrdlenError, ResourceCapError, TooManyVariablesError
 from .monomial import MonomialIdeal, SubquotientModule, unit_ideal
-from .ordinal import Ordinal
+from .ordinal import Ordinal, truncate_above
 
 
 class ParseError(OrdlenError):
@@ -439,7 +439,7 @@ class Runner:
             witness = cmd.refs[1]
             if witness.upper is not None:
                 raise SemanticError("a submodule witness must be a single ideal name")
-            k = self.lookup(witness.lower)  # topology checks I <= K <= J
+            k = self.lookup(witness.lower)  # m.submodule checks I <= K <= J
         if cmd.kind == "len":
             mu = invariants.length(m)
             text = "len %s = %s" % (disp, self.disp(mu))
@@ -449,7 +449,7 @@ class Runner:
             text = render_cycle(fc, names)
             obj["cycle"] = cycle_json(fc, names)
         elif cmd.kind == "ass":
-            primes = sorted(invariants.associated_primes(m), key=PrimeSupport.sort_key)
+            primes = [p for p, _ in invariants.fundamental_cycle(m).terms]  # in sort_key order
             text = ", ".join(render_prime(p, names) for p in primes) if primes else "none"
             obj["primes"] = [[names[v] for v in sorted(p.vars)] for p in primes]
         elif cmd.kind == "filtration":
@@ -458,12 +458,12 @@ class Runner:
             text = joiner.join(render_ideal(k, names) for k in ideals)
             obj["ideals"] = [ideal_json(k, names) for k in ideals]
         elif cmd.kind in ("open", "iopen"):
-            if cmd.kind == "open":
-                opn, label = topology.is_open(m, k), "open"
-            else:
-                opn, label = topology.is_i_open(m, k, cmd.index), "i-open"
-                obj["i"] = cmd.index
-            sub_len = invariants.length(SubquotientModule(m.lower, k))
+            # open is iopen -1 (topology.is_open); K/I is built once, for both answer and length
+            i, label = (-1, "open") if cmd.kind == "open" else (cmd.index, "i-open")
+            if cmd.kind == "iopen":
+                obj["i"] = i
+            sub_len = invariants.length(m.submodule(k))
+            opn = sub_len == truncate_above(invariants.length(m), i)
             text = label if opn else "not %s (len = %s)" % (label, self.disp(sub_len))
             obj.update({"submodule": render_ideal(k, names), cmd.kind: opn,
                         "length": ordinal_json(sub_len), "display": self.disp(sub_len)})

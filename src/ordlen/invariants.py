@@ -25,6 +25,7 @@ from .errors import (
 from .monomial import (
     MonomialIdeal,
     SubquotientModule,
+    _ideal,
     _meet,
     _minimize,
     _pairwise,
@@ -126,13 +127,11 @@ class ModuleInvariants(Value, namedtuple("ModuleInvariants", "order valence gene
 
 def basic_invariants(m: SubquotientModule) -> ModuleInvariants:
     """Order, valence, generic length, dimension and mixedness of a nonzero module."""
-    ass = associated_primes(m)
-    if not ass:
-        raise ZeroModuleError("order and dimension are undefined for the zero module")
-    dims = [p.dim for p in ass]
-    order = min(dims)
-    dimension = max(dims)
     fc = fundamental_cycle(m)
+    if fc.is_zero:
+        raise ZeroModuleError("order and dimension are undefined for the zero module")
+    ass = [p for p, _ in fc.terms]  # in sort_key order, so by decreasing dimension
+    dimension, order = ass[0].dim, ass[-1].dim
     generic = sum(c for p, c in fc.terms if p.dim == dimension)
     antichain = not any(p.vars < q.vars for p in ass for q in ass)
     return ModuleInvariants(
@@ -165,7 +164,7 @@ def _filtration(m: SubquotientModule) -> Iterator[MonomialIdeal]:
         for p in ass:
             if p.dim == i:
                 sat = _meet(([g[:v] + (0,) + g[v + 1 :] for g in sat] for v in p.vars), n)
-        yield m.lower if sat is low else MonomialIdeal.make(n, _pairwise(max, sat, up))
+        yield m.lower if sat is low else _ideal(n, _pairwise(max, sat, up))
     yield m.upper
 
 
@@ -254,15 +253,15 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
     and outside K (a divisor in K would put y in K).  Pushes only raise the
     degree, so the heap yields the scan's candidates in its order.
     """
-    mu = length(m)
+    fc = fundamental_cycle(m)
+    mu = binord(fc)
     if not ord_.weaker(nu, mu):
         raise InvalidSubquotientError("target length is not weaker than the module length")
     bound = max(m.lower.max_degree, m.upper.max_degree) + mu.valence
-    ass = sorted(associated_primes(m), key=PrimeSupport.sort_key)
     low, up = m.lower.gens, m.upper.gens
     kg, target = low, ord_.ZERO
     for exp, coeff in nu.terms:
-        primes = [p for p in ass if p.dim == exp]
+        primes = [p for p, _ in fc.terms if p.dim == exp]
         for _ in range(coeff):
             target = ord_.shuffle_sum(target, Ordinal.omega_power(exp))
             for x in _candidates(kg, up, primes, bound):
@@ -273,4 +272,4 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
             else:
                 msg = "no monomial submodule of length %s found within degree %d (module %r)"
                 raise SubmoduleSearchError(msg % (target, bound, m))
-    return MonomialIdeal.make(m.ambient_n, kg)
+    return _ideal(m.ambient_n, kg)

@@ -42,8 +42,8 @@ class Ordinal(Value, namedtuple("Ordinal", "terms")):
 
     __slots__ = ()
 
-    def __new__(cls, terms: tuple[tuple[int, int], ...] = ()) -> Ordinal:
-        last = None
+    def __new__(cls, terms: Iterable[tuple[int, int]] = ()) -> Ordinal:
+        terms, last = tuple(terms), None
         for exp, coeff in terms:
             if exp < 0 or coeff <= 0:
                 raise ValueError("bad Cantor term (%d, %d)" % (exp, coeff))

@@ -174,6 +174,15 @@ class TestValueContract:
     def test_equal_values_hash_equal(self):
         c, d = Cycle.from_terms(N, {PX: 2, MAX: -1}), Cycle.from_terms(N, [(MAX, -1), (PX, 2)])
         assert c == d and hash(c) == hash(d)
+        # terms are stored as a tuple and prime variables as a frozenset, whatever came in
+        for e in (Cycle(N, [(PX, 2), (MAX, -1)]), Cycle(N, iter([(PX, 2), (MAX, -1)]))):
+            assert e == c and hash(e) == hash(c)
+        for p in (PrimeSupport(N, [0]), PrimeSupport(N, (0, 0)), PrimeSupport(N, iter([0]))):
+            assert p == PX and hash(p) == hash(PX)
+
+    def test_repeated_variables_count_once(self):
+        assert PrimeSupport(2, [0, 0]).dim == 1 and PrimeSupport(2, [0, 0]).sort_key() == (1, (0,))
+        assert binord(Cycle(2, ((PrimeSupport(2, [1, 1]), 1),))) == Ordinal.omega_power(1)
 
     def test_cycle_repr(self):
         want = "Cycle(ambient_n=3, terms=((PrimeSupport(ambient_n=3, vars=frozenset({0})), 2),))"

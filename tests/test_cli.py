@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ordlen import cli
+from ordlen import cli, topology
 from ordlen.errors import SubmoduleSearchError
+from ordlen.invariants import length
 from ordlen.monomial import SubquotientModule
+from ordlen.ordinal import Ordinal
 
 EXAMPLE = """\
 ring x,y,z
@@ -249,6 +251,43 @@ class TestWitnessCheckedOnce:
         text = "ring x,y\nI = x^2\nK = x\nopen I K\niopen 0 I K\nclosure I K\n"
         assert run(text) == (0, "not open (len = ω)\nnot i-open (len = ω)\n(x)\n", "")
         assert len(calls) == 3
+
+
+class TestOpenCommands:
+    """open is iopen -1: both decide as topology does and print len(K/I)."""
+
+    INDICES = (-1, 0, 1, 2)
+
+    @classmethod
+    def script(cls, m, k):
+        names = ["x%d" % v for v in range(m.ambient_n)]
+        lines = ["ring " + ",".join(names)]
+        for name, i in (("I", m.lower), ("J", m.upper), ("K", k)):
+            body = ", ".join(cli.render_monomial(g, names) for g in i.gens) if i.gens else "0"
+            lines.append("%s = %s" % (name, body))
+        lines.append("open J/I K")
+        lines += ["iopen %d J/I K" % i for i in cls.INDICES]
+        return "\n".join(lines) + "\n"
+
+    def test_answers_and_lengths_on_the_corpus(self, chain_corpus):
+        for m, k in chain_corpus:
+            text = self.script(m, k)
+            sub_len = length(m.submodule(k))
+            want = [("open", "open", topology.is_open(m, k), None)]
+            want += [("iopen", "i-open", topology.is_i_open(m, k, i), i) for i in self.INDICES]
+            code, out, err = run(text)
+            assert (code, err) == (0, "")
+            lines = [label if opn else "not %s (len = %s)" % (label, sub_len)
+                     for _, label, opn, _ in want]
+            assert out.splitlines() == lines
+            code, out, err = run(text, as_json=True)
+            assert (code, err) == (0, "")
+            for line, (kind, _, opn, i) in zip(out.splitlines(), want, strict=True):
+                obj = json.loads(line)
+                assert obj[kind] is opn and obj.get("i") == i
+                assert obj["display"] == str(sub_len)
+                got = Ordinal.from_coeffs({int(e): c for e, c in obj["length"].items()})
+                assert got == sub_len
 
 
 class TestExitCodes:

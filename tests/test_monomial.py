@@ -402,3 +402,8 @@ class TestOneConstructor:
         # checked before minimising: (1,) must not divide (1, 0) away
         with pytest.raises(AmbientMismatchError):
             MonomialIdeal.make(2, [(1, 0), (1,)])
+
+    def test_public_constructors_check_the_ring_size(self):
+        # the engine wraps its own antichains unchecked; outside input is always checked
+        with pytest.raises(AmbientMismatchError):
+            unit_ideal(-1)

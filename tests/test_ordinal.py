@@ -256,6 +256,9 @@ class TestValueContract:
     def test_equal_values_hash_equal(self):
         assert W == ordn({1: 1}) and hash(W) == hash(ordn({1: 1}))
         assert Ordinal() == ZERO and hash(Ordinal()) == hash(ZERO)
+        # the terms are stored as a tuple, whatever iterable they came in
+        for a in (Ordinal([(1, 1)]), Ordinal(iter([(1, 1)]))):
+            assert a == W and hash(a) == hash(W)
 
     def test_repr(self):
         assert repr(W) == "Ordinal(terms=((1, 1),))"

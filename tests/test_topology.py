@@ -9,9 +9,12 @@ from ordlen.invariants import (
     associated_primes,
     basic_invariants,
     construct_submodule_of_length,
+    dimension_filtration,
+    filtration_chain,
     length,
 )
 from ordlen.monomial import (
+    Monomial,
     MonomialIdeal,
     SubquotientModule,
     maximal_ideal,
@@ -244,3 +247,28 @@ class TestKernelPredictions:
         assert kernel_chain_bound(ring_mod(3, (1, 0, 0))) == 2
         z = SubquotientModule(ideal(2, (1, 0)), ideal(2, (1, 0)))
         assert kernel_chain_bound(z) == 1
+
+
+def engine_ideals(m, k):
+    """Every ideal the filtration, submodule and e-open searches return for J/I."""
+    if not m.is_zero:
+        yield from filtration_chain(m)
+    for i in range(-1, 4):
+        yield dimension_filtration(m, i).upper
+    yield construct_submodule_of_length(m, length(m.submodule(k)))
+    if m.upper.is_unit and not m.is_zero:
+        yield find_e_open_power(m).ideal
+
+
+def test_engine_ideals_are_canonical_and_between(chain_corpus):
+    # the engine wraps the antichains of its kernel without MonomialIdeal's
+    # minimisation and I <= K <= J check, so both are asserted here
+    for m, k in chain_corpus:
+        for got in engine_ideals(m, k):
+            gens = got.gens
+            assert got == MonomialIdeal(m.ambient_n, gens) and got.ambient_n == m.ambient_n
+            # a sorted antichain by definition, without MonomialIdeal's own minimisation
+            assert all(type(g) is Monomial for g in gens)
+            assert list(gens) == sorted(gens, key=Monomial.sort_key)
+            assert not any(g != h and all(map(le, g, h)) for g in gens for h in gens)
+            assert got.contains_ideal(m.lower) and m.upper.contains_ideal(got)
