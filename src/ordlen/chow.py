@@ -23,6 +23,8 @@ class PrimeSupport(Value, namedtuple("PrimeSupport", "ambient_n vars key")):
 
     def __new__(cls, ambient_n: int, vars: Iterable[int]) -> PrimeSupport:
         vars = frozenset(vars)
+        if ambient_n < 0:
+            raise AmbientMismatchError("negative number of variables")
         if any(v < 0 or v >= ambient_n for v in vars):
             raise ValueError("variable index out of range")
         return tuple.__new__(cls, (ambient_n, vars, (len(vars), tuple(sorted(vars)))))
@@ -56,6 +58,8 @@ class Cycle(Value, namedtuple("Cycle", "ambient_n terms")):
 
     def __new__(cls, ambient_n: int, terms: Iterable[tuple[PrimeSupport, int]] = ()) -> Cycle:
         terms = tuple(terms)
+        if ambient_n < 0:
+            raise AmbientMismatchError("negative number of variables")
         for k, (p, c) in enumerate(terms):
             if p.ambient_n != ambient_n:
                 raise AmbientMismatchError("cycle term in wrong ring")

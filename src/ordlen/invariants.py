@@ -174,7 +174,7 @@ def dimension_filtration(m: SubquotientModule, i: int) -> SubquotientModule:
     if i < -1:
         raise ValueError("filtration index must be >= -1")
     *_, k = islice(_filtration(m), i + 2)
-    return SubquotientModule(m.lower, k)
+    return tuple.__new__(SubquotientModule, (m.lower, k))  # I <= K_i by construction
 
 
 def filtration_chain(m: SubquotientModule) -> list[MonomialIdeal]:
@@ -192,8 +192,7 @@ def cycle_defect(m: SubquotientModule, inner_upper: MonomialIdeal) -> Cycle:
     The result is effective whenever M has no embedded primes; callers
     assert that where it applies, since the operation itself stays total.
     """
-    n_part = fundamental_cycle(m.submodule(inner_upper))
-    q_part = fundamental_cycle(m.quotient_by(inner_upper))
+    n_part, q_part = map(fundamental_cycle, m.split(inner_upper))
     return cycle_sub(cycle_add(n_part, q_part), fundamental_cycle(m))
 
 

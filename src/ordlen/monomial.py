@@ -91,9 +91,11 @@ class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):
 
     def __new__(cls, ambient_n: int, gens: Iterable[Iterable[int]]) -> MonomialIdeal:
         exps = tuple(map(tuple, gens))
+        if ambient_n < 0:
+            raise AmbientMismatchError("negative number of variables")
         if not {ambient_n}.issuperset(map(len, exps)):
             raise AmbientMismatchError("generator in wrong ring")
-        return _ideal(ambient_n, _minimize(exps))
+        return _ideal(ambient_n, _minimize(map(Monomial, exps)))  # Monomial checks the signs
 
     @classmethod
     def make(cls, ambient_n: int, gens: Iterable[Iterable[int]]) -> MonomialIdeal:
@@ -122,8 +124,9 @@ class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):
 
 
 def _ideal(n: int, antichain: Iterable[tuple[int, ...]]) -> MonomialIdeal:
-    """The ideal of an antichain that _minimize has already sorted and minimised."""
-    return tuple.__new__(MonomialIdeal, (n, tuple(map(Monomial, antichain))))
+    """The ideal of an antichain that _minimize made from checked ideals, not checked again."""
+    gens = map(partial(tuple.__new__, Monomial), antichain)
+    return tuple.__new__(MonomialIdeal, (n, tuple(gens)))
 
 
 def zero_ideal(n: int) -> MonomialIdeal:
@@ -150,7 +153,7 @@ def _check_ring(i: MonomialIdeal, j: MonomialIdeal) -> None:
 
 def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ring(i, j)
-    return MonomialIdeal.make(i.ambient_n, i.gens + j.gens)
+    return _ideal(i.ambient_n, _minimize(i.gens + j.gens))
 
 
 def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -214,17 +217,17 @@ class SubquotientModule(Value, namedtuple("SubquotientModule", "lower upper")):
     def is_zero(self) -> bool:
         return self.lower.contains_ideal(self.upper)
 
-    def _check_witness(self, k: MonomialIdeal) -> None:
-        # K/I and J/K are then valid, so the callers skip __new__'s containment test
+    def split(self, k: MonomialIdeal) -> tuple[SubquotientModule, SubquotientModule]:
+        """(K/I, J/K) for 0 -> K/I -> J/I -> J/K -> 0, after the one I <= K <= J check."""
         if not k.contains_ideal(self.lower) or not self.upper.contains_ideal(k):
             raise InvalidSubquotientError("witness ideal not between I and J")
+        new = partial(tuple.__new__, SubquotientModule)
+        return new((self.lower, k)), new((k, self.upper))
 
     def submodule(self, k: MonomialIdeal) -> SubquotientModule:
         """The submodule K/I of J/I; requires I <= K <= J."""
-        self._check_witness(k)
-        return tuple.__new__(SubquotientModule, (self.lower, k))
+        return self.split(k)[0]
 
     def quotient_by(self, k: MonomialIdeal) -> SubquotientModule:
         """The quotient (J/I)/(K/I) = J/K; requires I <= K <= J."""
-        self._check_witness(k)
-        return tuple.__new__(SubquotientModule, (k, self.upper))
+        return self.split(k)[1]

@@ -180,6 +180,18 @@ class TestValueContract:
         for p in (PrimeSupport(N, [0]), PrimeSupport(N, (0, 0)), PrimeSupport(N, iter([0]))):
             assert p == PX and hash(p) == hash(PX)
 
+    @pytest.mark.parametrize("build", [
+        lambda: PrimeSupport(-1, []),
+        lambda: prime(-2, ()),
+        lambda: Cycle(-1),
+        lambda: zero_cycle(-3),
+        lambda: Cycle.from_terms(-1, {}),
+        lambda: zero_cycle(2)._replace(ambient_n=-1),
+    ], ids=["PrimeSupport", "prime", "Cycle", "zero_cycle", "from_terms", "_replace"])
+    def test_negative_ring_size_is_an_ambient_mismatch(self, build):
+        with pytest.raises(AmbientMismatchError, match="negative number of variables"):
+            build()
+
     def test_repeated_variables_count_once(self):
         assert PrimeSupport(2, [0, 0]).dim == 1 and PrimeSupport(2, [0, 0]).sort_key() == (1, (0,))
         assert binord(Cycle(2, ((PrimeSupport(2, [1, 1]), 1),))) == Ordinal.omega_power(1)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,25 @@ class TestGoldenText:
         noisy = "# header\nring   x ,y, z\nI=x^2,x * y  # trailing\nlen I\n"
         code, out, _ = run(noisy)
         assert code == 0 and out.strip() == "len R/I = ω^2 + ω"
+
+
+class TestReadmeExample:
+    def test_commented_outputs(self):
+        # the CLI section's example script; every command in it prints one line
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        script = re.search(r"## CLI\n.*?```text\n(.*?)```", readme, re.S).group(1)
+        commands = []
+        for line in script.splitlines():
+            words = line.split("#")[0].split()
+            if words and words[0] != "ring" and "=" not in words:
+                commands.append(line)
+        code, out, err = run(script)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == len(commands)
+        want = {i: cmd.split("#", 1)[1].strip() for i, cmd in enumerate(commands) if "#" in cmd}
+        assert len(want) == 6
+        assert {i: lines[i] for i in want} == want
 
 
 class TestGoldenJson:

@@ -407,3 +407,22 @@ class TestOneConstructor:
         # the engine wraps its own antichains unchecked; outside input is always checked
         with pytest.raises(AmbientMismatchError):
             unit_ideal(-1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: zero_ideal(-1),
+        lambda: maximal_ideal(-2),
+        lambda: MonomialIdeal(-3, []),
+        lambda: MonomialIdeal.make(-1, [()]),
+        lambda: MonomialIdeal._make((-1, ())),
+        lambda: zero_ideal(2)._replace(ambient_n=-2),
+    ], ids=["zero_ideal", "maximal_ideal", "constructor", "make", "_make", "_replace"])
+    def test_negative_ring_size_is_an_ambient_mismatch(self, build):
+        with pytest.raises(AmbientMismatchError, match="negative number of variables"):
+            build()
+
+    @pytest.mark.parametrize("gens", [[(0, -1)], [(1, 0), (-2, 3)], [(0, 0), (0, -1)]])
+    def test_negative_exponent_in_a_generator(self, gens):
+        with pytest.raises(ValueError, match="negative exponent"):
+            MonomialIdeal(2, gens)
+        with pytest.raises(ValueError, match="negative exponent"):
+            MonomialIdeal.make(2, gens)

@@ -4,11 +4,18 @@ from operator import le
 import pytest
 
 from ordlen.chow import zero_cycle
-from ordlen.errors import OrdlenError, ResourceCapError, ZeroModuleError
+from ordlen.errors import (
+    AmbientMismatchError,
+    InvalidSubquotientError,
+    OrdlenError,
+    ResourceCapError,
+    ZeroModuleError,
+)
 from ordlen.invariants import (
     associated_primes,
     basic_invariants,
     construct_submodule_of_length,
+    cycle_defect,
     dimension_filtration,
     filtration_chain,
     length,
@@ -17,6 +24,7 @@ from ordlen.monomial import (
     Monomial,
     MonomialIdeal,
     SubquotientModule,
+    ideal_sum,
     maximal_ideal,
     unit_ideal,
     zero_ideal,
@@ -248,6 +256,17 @@ class TestKernelPredictions:
         z = SubquotientModule(ideal(2, (1, 0)), ideal(2, (1, 0)))
         assert kernel_chain_bound(z) == 1
 
+    @pytest.mark.parametrize("predicate", [predicts_open_kernel, hom_vanishes,
+                                           max_common_ass_dimension])
+    def test_modules_over_different_rings(self, predicate):
+        # R/(x) over k[x, y] and R/(x, y) over k[x, y, z]; either order, and
+        # before the zero-module check of hom_vanishes
+        small, big = ring_mod(2, (1, 0)), ring_mod(3, (1, 0, 0), (0, 1, 0))
+        zero = SubquotientModule.quotient_ring(unit_ideal(3))
+        for m, n in ((small, big), (big, small), (small, zero)):
+            with pytest.raises(AmbientMismatchError, match="modules over different rings"):
+                predicate(m, n)
+
 
 def engine_ideals(m, k):
     """Every ideal the filtration, submodule and e-open searches return for J/I."""
@@ -256,13 +275,14 @@ def engine_ideals(m, k):
     for i in range(-1, 4):
         yield dimension_filtration(m, i).upper
     yield construct_submodule_of_length(m, length(m.submodule(k)))
+    yield closure(m, k)
     if m.upper.is_unit and not m.is_zero:
         yield find_e_open_power(m).ideal
 
 
 def test_engine_ideals_are_canonical_and_between(chain_corpus):
     # the engine wraps the antichains of its kernel without MonomialIdeal's
-    # minimisation and I <= K <= J check, so both are asserted here
+    # minimisation, sign and I <= K <= J checks, so all three are asserted here
     for m, k in chain_corpus:
         for got in engine_ideals(m, k):
             gens = got.gens
@@ -271,4 +291,54 @@ def test_engine_ideals_are_canonical_and_between(chain_corpus):
             assert all(type(g) is Monomial for g in gens)
             assert list(gens) == sorted(gens, key=Monomial.sort_key)
             assert not any(g != h and all(map(le, g, h)) for g in gens for h in gens)
+            assert all(e >= 0 for g in gens for e in g)
             assert got.contains_ideal(m.lower) and m.upper.contains_ideal(got)
+
+
+class TestCheckedOnce:
+    """Outside input is checked where it enters: a witness once, by split, and
+    what the engine derives from checked values is not checked again."""
+
+    WITNESS = ideal(3, (1, 0, 0))  # I <= (x) <= (1) for M3
+
+    @pytest.mark.parametrize("call, checks", [
+        (is_strongly_additive, 2),
+        (cycle_defect, 2),
+        (closure, 2),
+        pytest.param(lambda m, k: dimension_filtration(m, 0), 0, id="dimension_filtration-0"),
+    ])
+    def test_containment_tests_per_call(self, monkeypatch, call, checks):
+        calls = []
+        contains_ideal = MonomialIdeal.contains_ideal
+
+        def counted(self, other):
+            calls.append(other)
+            return contains_ideal(self, other)
+
+        monkeypatch.setattr(MonomialIdeal, "contains_ideal", counted)
+        call(M3, self.WITNESS)
+        assert len(calls) == checks
+
+    def test_derived_values_skip_the_constructors(self, monkeypatch):
+        built = []
+        for cls in (Monomial, MonomialIdeal, SubquotientModule):
+            def counted(c, *args, _new=cls.__new__):
+                built.append(c)
+                return _new(c, *args)
+
+            monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+        k = self.WITNESS
+        ideal_sum(k, M3.lower)
+        dimension_filtration(M3, 0)
+        is_strongly_additive(M3, k)
+        cycle_defect(M3, k)
+        assert built == []
+
+    def test_split_is_submodule_and_quotient(self, chain_corpus):
+        for m, k in chain_corpus[:50]:
+            assert m.split(k) == (SubquotientModule(m.lower, k), SubquotientModule(k, m.upper))
+
+    def test_split_rejects_a_witness_outside(self):
+        for k in (ideal(3, (0, 1, 0)), ideal(3, (3, 0, 0))):
+            with pytest.raises(InvalidSubquotientError, match="witness ideal not between I and J"):
+                M3.split(k)
