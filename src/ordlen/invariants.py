@@ -228,14 +228,32 @@ def _candidates(kg: tuple, j: tuple, primes: list, bound: int) -> Iterator[tuple
         todo = [x[:v] + (x[v] + 1,) + x[v + 1 :] for v in range(len(x))]
 
 
+def _adds_one_pair(low: tuple, kg: tuple, x: tuple, e: int) -> bool:
+    """True iff len((K + (x))/I) = len(K/I) (+) omega^e, for x from _candidates.
+
+    (K + (x))/K is R/(K : x), and K : x holds a prime p of dimension e.  A
+    new standard pair (y, T) of I (see _cycle) has x' | y, for x' the part
+    of x off T, and T disjoint from K : x; so none has |T| = e unless K : x
+    = p, and then only (x', vars - p) can count, as (y, T) lies below it.
+    The test: (a) q = {i : x*x_i in K} has n - e variables and no generator
+    of K divides x on q, so K : x = q; (b) for each i in q some generator
+    of I divides x on q - {i}, so (x', vars - q) is a standard pair of I.
+    """
+    over = [[j for j, (a, b) in enumerate(zip(g, x)) if a > b] for g in kg]
+    q = {o[0] for o, g in zip(over, kg) if len(o) == 1 and g[o[0]] == x[o[0]] + 1}
+    if len(x) - len(q) != e or any(q.isdisjoint(o) for o in over):
+        return False
+    return all(any(all(g[j] <= x[j] for j in q - {i}) for g in low) for i in q)
+
+
 def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> MonomialIdeal:
     """Find K with I <= K <= J and len(K/I) = nu; nu must be weaker than len(J/I).
 
     Follows the existence proof: peel nu into omega-power steps from the
     top degree down, at each step adjoining the first monomial x, in
     degree-lex order up to a fixed degree bound, with x in J, x outside
-    the current K and p*x inside K for an associated prime p of the step's
-    dimension e, such that len(K + (x)/I) is the running target.
+    the current K and p*x inside K for an associated prime p of dimension
+    e, such that len(K + (x)/I) is the running target (_adds_one_pair).
 
     One pass suffices.  Before the step, nu weaker than len(J/I) gives an
     associated prime p of dimension e with lcl_p(K/I) < lcl_p(J/I), so some
@@ -264,9 +282,8 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
         for _ in range(coeff):
             target = ord_.shuffle_sum(target, Ordinal.omega_power(exp))
             for x in _candidates(kg, up, primes, bound):
-                k2 = _minimize(kg + (x,))
-                if binord(_cycle(m.ambient_n, low, k2)) == target:
-                    kg = k2
+                if _adds_one_pair(low, kg, x, exp):
+                    kg = _minimize(kg + (x,))
                     break
             else:
                 msg = "no monomial submodule of length %s found within degree %d (module %r)"

@@ -8,10 +8,9 @@ manipulated.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add
+from operator import add, le
 
 from . import ordinal as ord_
-from .chow import binord
 from .errors import AmbientMismatchError, OrdlenError, ResourceCapError, ZeroModuleError
 from .invariants import (
     _cycle,
@@ -72,6 +71,10 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     """Least n with (a^n + I)/I an e-open in R/I, for e the order of R/I and
     a the intersection of its associated primes of dimension e.
 
+    A prime that contains a contains a prime of dimension e, so above e
+    (a^n + I)/I has the coefficients of R/I, and it is e-open iff no
+    associated prime contains a: iff a^n cap L <= I, for L = I : a^infinity,
+    i.e. iff every lcm of a generator of a^n and one of L lies in I.
     Artin-Rees guarantees some power works but gives no effective bound;
     the cap converts non-termination risk into a reported error.
     """
@@ -79,17 +82,17 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
         raise OrdlenError("e-open power search expects a quotient ring R/I")
     n_vars, low = r_mod.ambient_n, r_mod.lower.gens
     power = ((0,) * n_vars,)
-    fc = _cycle(n_vars, low, power)
-    if not fc.terms:
+    ass = _cycle(n_vars, low, power).support
+    if not ass:
         raise ZeroModuleError("the zero module has no order")
-    e = min(p.dim for p in fc.support)
-    target = ord_.truncate_above(binord(fc), e)
-    a = _meet((prime_ideal(p).gens for p in fc.support if p.dim == e), n_vars)
+    e = min(p.dim for p in ass)
+    a = _meet((prime_ideal(p).gens for p in ass if p.dim == e), n_vars)
+    sat = _meet(([tuple(0 if f else c for c, f in zip(h, g)) for h in low] for g in a), n_vars)
     for n in range(1, cap + 1):
-        power = _pairwise(add, power, a)  # a^n, carried forward
-        k = _minimize(power + low)
-        if binord(_cycle(n_vars, low, k)) == target:
-            return EOpenPower(n, _ideal(n_vars, k))
+        # the generators of a^n outside I, which with I generate a^n + I
+        power = [f for f in _pairwise(add, power, a) if not any(all(map(le, g, f)) for g in low)]
+        if all(any(all(map(le, g, map(max, f, h))) for g in low) for f in power for h in sat):
+            return EOpenPower(n, _ideal(n_vars, _minimize([*power, *low])))
     raise ResourceCapError("no e-open power of the ideal found up to the cap %d" % cap)
 
 

@@ -17,6 +17,7 @@ from ordlen.errors import (
 )
 from ordlen.invariants import (
     ModuleInvariants,
+    _adds_one_pair,
     _candidates,
     _slices,
     _socle,
@@ -35,6 +36,7 @@ from ordlen.monomial import (
     Monomial,
     MonomialIdeal,
     SubquotientModule,
+    colon,
     ideal_intersection,
     ideal_sum,
     maximal_ideal,
@@ -42,7 +44,13 @@ from ordlen.monomial import (
     variable,
     zero_ideal,
 )
-from ordlen.oracle import STRESS_PROFILE, oracle_artinian_length, random_chain
+from ordlen.oracle import (
+    DEFAULT_PROFILE,
+    STRESS_PROFILE,
+    InstanceProfile,
+    oracle_artinian_length,
+    random_chain,
+)
 from ordlen.ordinal import ZERO, Ordinal, OrdinalClass, shuffle_sum, truncate_below, weaker
 
 
@@ -479,6 +487,68 @@ def test_search_matches_the_scan(small_corpus):
         for nu in [mu, *weaker_targets]:
             expected = search_outcome(scan_search, m, nu)
             assert search_outcome(construct_submodule_of_length, m, nu) == expected
+
+
+def replay_search(m, nu):
+    """construct_submodule_of_length's loop, with each candidate x up to the
+    accepted one decided both by _adds_one_pair and by len((K + (x))/I).
+
+    Returns the witness K, or None when a step finds no witness, and the
+    counts of candidates, of rejections, and of rejections with K : x a
+    prime of the step's dimension, which only condition (b) decides.
+    """
+    n, fc = m.ambient_n, fundamental_cycle(m)
+    bound = max(m.lower.max_degree, m.upper.max_degree) + length(m).valence
+    k, target, counts = m.lower, ZERO, [0, 0, 0]
+    for exp, coeff in nu.terms:
+        primes = [p for p, _ in fc.terms if p.dim == exp]
+        for _ in range(coeff):
+            target = shuffle_sum(target, Ordinal.omega_power(exp))
+            for x in _candidates(exponents_of(k), exponents_of(m.upper), primes, bound):
+                k2 = ideal_sum(k, MonomialIdeal.make(n, [x]))
+                verdict = _adds_one_pair(exponents_of(m.lower), exponents_of(k), x, exp)
+                assert verdict == (length(SubquotientModule(m.lower, k2)) == target), (m, k, x)
+                counts[0] += 1
+                if verdict:
+                    k = k2
+                    break
+                counts[1] += 1
+                quotient = colon(k, MonomialIdeal.make(n, [x]))
+                if all(g.degree == 1 for g in quotient.gens) and n - len(quotient.gens) == exp:
+                    counts[2] += 1
+            else:
+                return None, counts
+    return k, counts
+
+
+def test_each_candidate_is_decided_as_by_length():
+    # seeded searches at full length and at a weaker target, over desk-scale,
+    # stress and proper-submodule (J != R) chains of up to 6 variables
+    profiles = [DEFAULT_PROFILE, STRESS_PROFILE, InstanceProfile(max_vars=6, ring_bias=0)]
+    totals = [0, 0, 0]
+    for seed in range(300):
+        m, _ = random_chain(7000 + seed, profiles[seed % 3])
+        mu = length(m)
+        rng = random.Random(seed)
+        for nu in [mu, Ordinal.from_coeffs({e: rng.randint(0, c) for e, c in mu.terms})]:
+            k, counts = replay_search(m, nu)
+            assert search_outcome(construct_submodule_of_length, m, nu) == (k or SubmoduleSearchError)
+            totals = [a + b for a, b in zip(totals, counts)]
+    candidates, rejected, by_standard_pair = totals
+    assert candidates > rejected > by_standard_pair > 0
+
+
+def test_standard_pair_condition_rejects_a_prime_colon():
+    # R/(y^2, x^2 y) at w + 2: the search adjoins x^2, then xy, so that
+    # K = (x^2, xy, y^2).  Then K : x is the maximal ideal, yet (x, {}) is no
+    # standard pair of I (no generator has y-degree 0), so x adds nothing
+    # and the last witness is y
+    m = ring_mod(2, (0, 2), (2, 1))
+    k = ideal(2, (2, 0), (1, 1), (0, 2))
+    assert colon(k, ideal(2, (1, 0))) == maximal_ideal(2)
+    assert not _adds_one_pair(exponents_of(m.lower), exponents_of(k), (1, 0), 0)
+    assert length(SubquotientModule(m.lower, ideal_sum(k, ideal(2, (1, 0))))) == length(m.submodule(k))
+    assert construct_submodule_of_length(m, Ordinal.from_coeffs({1: 1, 0: 2})) == ideal(2, (0, 1), (2, 0))
 
 
 class TestDeepSearch:

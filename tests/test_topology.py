@@ -29,6 +29,7 @@ from ordlen.monomial import (
     unit_ideal,
     zero_ideal,
 )
+from ordlen.oracle import STRESS_PROFILE, random_chain
 from ordlen.ordinal import Ordinal
 from ordlen.topology import (
     DEFAULT_POWER_CAP,
@@ -206,6 +207,16 @@ def e_open_reference(r_mod, cap):
     return ResourceCapError
 
 
+def test_e_open_power_tests_the_intersection_not_the_colon():
+    # R/(x^2 y^2, x^4 y): a = (x, y) and I : a^infinity = (x^2 y).  The colon
+    # test a^n <= I : (x^2 y) = (x^2, y) passes at n = 2, but x^3 y lies in
+    # a^4 cap (x^2 y) and outside I; a^5 cap (x^2 y) lies in I
+    r_mod = ring_mod(2, (2, 2), (4, 1))
+    want = ideal(2, (2, 2), (5, 0), (4, 1), (1, 4), (0, 5))
+    assert find_e_open_power(r_mod) == EOpenPower(5, want)
+    assert not is_i_open(r_mod, ideal(2, (2, 2), (4, 0), (3, 1), (1, 3), (0, 4)), 0)
+
+
 def e_open_outcome(r_mod, cap):
     try:
         return find_e_open_power(r_mod, cap)
@@ -214,9 +225,11 @@ def e_open_outcome(r_mod, cap):
 
 
 def test_e_open_power_matches_the_reference(chain_corpus):
-    # the same n and ideal, or both out of budget, at the default cap and at caps 1-3
-    rings = [m for m, _ in chain_corpus if m.upper.is_unit and not m.is_zero]
-    assert rings
+    # the same n and ideal, or both out of budget, at the default cap and at caps 1-3,
+    # on the shared corpus and on rings of up to 6 variables from the stress profile
+    modules = [m for m, _ in chain_corpus] + [random_chain(s, STRESS_PROFILE)[0] for s in range(100)]
+    rings = [m for m in modules if m.upper.is_unit and not m.is_zero]
+    assert sum(m.ambient_n > 4 for m in rings) > 10  # only the stress profile goes past 4
     for r_mod in rings:
         for cap in (DEFAULT_POWER_CAP, 1, 2, 3):
             assert e_open_outcome(r_mod, cap) == e_open_reference(r_mod, cap)
