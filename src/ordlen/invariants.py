@@ -10,9 +10,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from heapq import heappop, heappush
 from itertools import islice
-from operator import le, neg
+from operator import le, mul
 
 from . import ordinal as ord_
 from .chow import Cycle, PrimeSupport, binord, cycle_add, cycle_sub, zero_cycle
@@ -23,6 +22,7 @@ from .errors import (
     ZeroModuleError,
 )
 from .monomial import (
+    Monomial,
     MonomialIdeal,
     SubquotientModule,
     _ideal,
@@ -213,79 +213,58 @@ def _socle(kg: tuple, j: tuple, p: PrimeSupport) -> list[tuple]:
     return [e for e in out if not any(all(map(le, g, e)) for g in kg)]
 
 
-def _candidates(kg: tuple, j: tuple, primes: list, bound: int) -> Iterator[tuple]:
-    """Exponent tuples of degree <= bound outside K in some (K : p) cap J, in sort_key order."""
-    heap, seen, todo = [], set(), [x for p in primes for x in _socle(kg, j, p)]
-    while True:
-        for x in todo:
-            if x not in seen and sum(x) <= bound and not any(all(map(le, g, x)) for g in kg):
-                seen.add(x)
-                heappush(heap, (sum(x), tuple(map(neg, x))))
-        if not heap:
-            return
-        x = tuple(map(neg, heappop(heap)[1]))
-        yield x
-        todo = [x[:v] + (x[v] + 1,) + x[v + 1 :] for v in range(len(x))]
-
-
-def _adds_one_pair(low: tuple, kg: tuple, x: tuple, e: int) -> bool:
-    """True iff len((K + (x))/I) = len(K/I) (+) omega^e, for x from _candidates.
-
-    (K + (x))/K is R/(K : x), and K : x holds a prime p of dimension e.  A
-    new standard pair (y, T) of I (see _cycle) has x' | y, for x' the part
-    of x off T, and T disjoint from K : x; so none has |T| = e unless K : x
-    = p, and then only (x', vars - p) can count, as (y, T) lies below it.
-    The test: (a) q = {i : x*x_i in K} has n - e variables and no generator
-    of K divides x on q, so K : x = q; (b) for each i in q some generator
-    of I divides x on q - {i}, so (x', vars - q) is a standard pair of I.
-    """
-    over = [[j for j, (a, b) in enumerate(zip(g, x)) if a > b] for g in kg]
-    q = {o[0] for o, g in zip(over, kg) if len(o) == 1 and g[o[0]] == x[o[0]] + 1}
-    if len(x) - len(q) != e or any(q.isdisjoint(o) for o in over):
-        return False
-    return all(any(all(g[j] <= x[j] for j in q - {i}) for g in low) for i in q)
+def _pair_part(low: tuple, p: PrimeSupport, n: int) -> tuple:
+    """The antichain of C_p, the meet over the x_i in p of I : x_(S + i)^infinity
+    for S = vars - p.  y lies in C_p iff for each i in p some generator of I
+    divides y on p - {i}: iff (y', S) is under a standard pair of I, for y'
+    the part of y on p (see _cycle)."""
+    sets = [p.vars - {i} for i in p.vars]
+    return _meet(([tuple(e if j in b else 0 for j, e in enumerate(g)) for g in low] for b in sets), n)
 
 
 def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> MonomialIdeal:
     """Find K with I <= K <= J and len(K/I) = nu; nu must be weaker than len(J/I).
 
     Follows the existence proof: peel nu into omega-power steps from the
-    top degree down, at each step adjoining the first monomial x, in
-    degree-lex order up to a fixed degree bound, with x in J, x outside
-    the current K and p*x inside K for an associated prime p of dimension
-    e, such that len(K + (x)/I) is the running target (_adds_one_pair).
+    top degree down, at each step adjoining the least monomial x in
+    degree-lex order, up to a fixed degree bound, with x in J - K and
+    len((K + (x))/I) = len(K/I) (+) omega^e.  Before the step, nu weaker
+    than len(J/I) gives an associated prime p of dimension e with
+    lcl_p(K/I) < lcl_p(J/I); a socle multiple of some y in J - K nonzero in
+    (J/K)_p, times a high power of the variables outside p, is an x with
+    K : x = p, which raises lcl_p by exactly 1 and no other lcl_q.  Only the
+    degree bound can hide such an x; failure within it is a hard error,
+    never a silent widening of the bound.
 
-    One pass suffices.  Before the step, nu weaker than len(J/I) gives an
-    associated prime p of dimension e with lcl_p(K/I) < lcl_p(J/I), so some
-    monomial y in J - K is p-torsion in (J/I)_p and nonzero in (J/K)_p.
-    A socle multiple z of y, times a high power of the variables outside
-    p, is a monomial x with K : x = p.  Adjoining x adds R/p to K/I, which
-    raises lcl_p by exactly 1 and no other lcl_q, so the scan meets a
-    witness.  Only the degree bound can hide it; failure within the bound
-    is a hard error, never a silent widening of the bound.
-
-    The candidates x are those of L_p = (K : p) cap J outside K, seeded
-    by _socle into a heap (_candidates).  Every y in L_p - K is reached from
-    a generator of L_p dividing it through divisors of y, which lie in L_p
-    and outside K (a divisor in K would put y in K).  Pushes only raise the
-    degree, so the heap yields the scan's candidates in its order.
+    x is a witness iff K : x is a prime p of dimension e and x lies in C_p
+    (_pair_part): (K + (x))/K is R/(K : x), and a new standard pair (y, T)
+    of I (see _cycle) has x' | y, x' the part of x off T, and T disjoint
+    from K : x, so only (x', vars - p) can count.  With S = vars - p and
+    B_p = K : x_S^infinity, K : x = p iff x is in (K : p) - B_p, as x*x_i in
+    K for an x_i in S puts x in B_p.  So the witnesses are the members of
+    ((K : p) cap J cap C_p) - B_p, p over the associated primes of
+    dimension e.  B_p is closed under multiples, so the least of them is a
+    generator of (K : p) cap J cap C_p, one of _socle's.
     """
     fc = fundamental_cycle(m)
     mu = binord(fc)
     if not ord_.weaker(nu, mu):
         raise InvalidSubquotientError("target length is not weaker than the module length")
     bound = max(m.lower.max_degree, m.upper.max_degree) + mu.valence
-    low, up = m.lower.gens, m.upper.gens
+    n, low, up = m.ambient_n, m.lower.gens, m.upper.gens
     kg, target = low, ord_.ZERO
     for exp, coeff in nu.terms:
-        primes = [p for p, _ in fc.terms if p.dim == exp]
+        parts = [(p, _pairwise(max, up, _pair_part(low, p, n)), [j in p.vars for j in range(n)])
+                 for p, _ in fc.terms if p.dim == exp]
         for _ in range(coeff):
             target = ord_.shuffle_sum(target, Ordinal.omega_power(exp))
-            for x in _candidates(kg, up, primes, bound):
-                if _adds_one_pair(low, kg, x, exp):
-                    kg = _minimize(kg + (x,))
-                    break
-            else:
+            found = []
+            for p, jc, mask in parts:
+                bp = [tuple(map(mul, g, mask)) for g in kg]  # B_p's generators, x_S set to 1
+                found += islice((x for x in _socle(kg, jc, p) if sum(x) <= bound
+                                 and not any(all(map(le, g, x)) for g in bp)), 1)
+            if not found:
                 msg = "no monomial submodule of length %s found within degree %d (module %r)"
                 raise SubmoduleSearchError(msg % (target, bound, m))
-    return _ideal(m.ambient_n, kg)
+            kg = _minimize(kg + (min(found, key=Monomial.sort_key),))
+    return _ideal(n, kg)

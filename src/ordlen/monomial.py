@@ -27,6 +27,8 @@ class Monomial(tuple):
 
     def __new__(cls, exponents: Iterable[int]) -> Monomial:
         self = super().__new__(cls, exponents)
+        if not all(isinstance(e, int) for e in self):
+            raise TypeError("exponent is not an integer")
         if self and min(self) < 0:
             raise ValueError("negative exponent")
         return self

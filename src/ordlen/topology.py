@@ -13,7 +13,6 @@ from operator import add, le
 from . import ordinal as ord_
 from .errors import AmbientMismatchError, OrdlenError, ResourceCapError, ZeroModuleError
 from .invariants import (
-    _cycle,
     associated_primes,
     basic_invariants,
     dimension_filtration,
@@ -80,9 +79,8 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     """
     if not r_mod.upper.is_unit:
         raise OrdlenError("e-open power search expects a quotient ring R/I")
-    n_vars, low = r_mod.ambient_n, r_mod.lower.gens
-    power = ((0,) * n_vars,)
-    ass = _cycle(n_vars, low, power).support
+    n_vars, low, power = r_mod.ambient_n, r_mod.lower.gens, r_mod.upper.gens  # a^0 = J = R
+    ass = associated_primes(r_mod)
     if not ass:
         raise ZeroModuleError("the zero module has no order")
     e = min(p.dim for p in ass)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ordlen.chow import prime, zero_cycle
 from ordlen.errors import AmbientMismatchError, InvalidSubquotientError
+from ordlen.invariants import length
 from ordlen.monomial import (
     Monomial,
     MonomialIdeal,
@@ -386,6 +387,21 @@ class TestValueContract:
         with pytest.raises(AmbientMismatchError):
             zero_ideal(2)._replace(gens=((1, 0, 0),))
         assert InstanceProfile()._replace(max_vars=2) == InstanceProfile(max_vars=2)
+
+
+    @pytest.mark.parametrize("build", [
+        lambda: Monomial((2.5,)),
+        lambda: Monomial((1, 2.0)),
+        lambda: Monomial((1, 0)).times((0, 0.5)),
+        lambda: MonomialIdeal(1, [(2.5,)]),
+        lambda: MonomialIdeal.make(2, [(1, 0), (0, 1.5)]),
+        lambda: MonomialIdeal._make((1, ((2.5,),))),
+        lambda: zero_ideal(1)._replace(gens=((2.5,),)),
+        lambda: length(SubquotientModule.quotient_ring(MonomialIdeal(1, [(2.5,)]))),
+    ], ids=["monomial", "integral_float", "times", "constructor", "make", "_make", "_replace", "length"])
+    def test_non_integer_exponent_is_a_type_error(self, build):
+        with pytest.raises(TypeError, match="exponent is not an integer"):
+            build()
 
 
 class TestOneConstructor:
