@@ -48,7 +48,12 @@ def _slices(gens: tuple, v: int, cuts: list[int]) -> list[tuple]:
     return out
 
 
-@lru_cache(maxsize=None)
+# No benchmark pass stores over 1,919 entries, but one len of fixed-degree (10, 200, 12)
+# makes 20,538: ru_maxrss grows by 51.6 MB unbounded, by 13.5 MB at this bound.
+_CYCLE_MEMO = 4096
+
+
+@lru_cache(maxsize=_CYCLE_MEMO)
 def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
     """The fundamental cycle of J/I for the exponent-tuple antichains of I <= J.
 
@@ -156,15 +161,12 @@ def _filtration(m: SubquotientModule) -> Iterator[MonomialIdeal]:
     with x_v set to 1.  K_d = J needs no saturation: a power of a_d kills
     J/I, so J <= I : a_d^infinity.
     """
-    n = m.ambient_n
-    low, up = m.lower.gens, m.upper.gens
-    ass = _cycle(n, low, up).support
-    sat = low
+    n, ass, sat = m.ambient_n, fundamental_cycle(m).support, m.lower.gens
     for i in range(-1, max((p.dim for p in ass), default=-1)):
         for p in ass:
             if p.dim == i:
                 sat = _meet(([g[:v] + (0,) + g[v + 1 :] for g in sat] for v in p.vars), n)
-        yield m.lower if sat is low else _ideal(n, _pairwise(max, sat, up))
+        yield m.lower if sat is m.lower.gens else _ideal(n, _pairwise(max, sat, m.upper.gens))
     yield m.upper
 
 
@@ -196,8 +198,8 @@ def cycle_defect(m: SubquotientModule, inner_upper: MonomialIdeal) -> Cycle:
     return cycle_sub(cycle_add(n_part, q_part), fundamental_cycle(m))
 
 
-def _socle(kg: tuple, j: tuple, p: PrimeSupport) -> list[tuple]:
-    """The generators of (K : p) cap J outside K, for the antichains kg and j.
+def _socle(kg: tuple, j: tuple, p: PrimeSupport) -> tuple:
+    """An antichain whose members outside K are exactly the generators of (K : p) cap J outside K.
 
     K : x_i = K + D_i, D_i generated by g - e_i for the generators g of K
     with g_i > 0, and by distributivity K : p = K + (the meet of the D_i,
@@ -210,7 +212,7 @@ def _socle(kg: tuple, j: tuple, p: PrimeSupport) -> list[tuple]:
     for i in p.vars:
         lowered = [g[:i] + (g[i] - 1,) + g[i + 1 :] for g in kg if g[i]]
         out = _minimize(tuple(map(max, e, h)) for h in lowered for e in out if e[i] <= h[i])
-    return [e for e in out if not any(all(map(le, g, e)) for g in kg)]
+    return out
 
 
 def _pair_part(low: tuple, p: PrimeSupport, n: int) -> tuple:
@@ -244,7 +246,8 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
     K for an x_i in S puts x in B_p.  So the witnesses are the members of
     ((K : p) cap J cap C_p) - B_p, p over the associated primes of
     dimension e.  B_p is closed under multiples, so the least of them is a
-    generator of (K : p) cap J cap C_p, one of _socle's.
+    generator of (K : p) cap J cap C_p, one of _socle's; B_p holds K, so the
+    B_p test also drops _socle's members in K.
     """
     fc = fundamental_cycle(m)
     mu = binord(fc)

@@ -27,7 +27,7 @@ class Monomial(tuple):
 
     def __new__(cls, exponents: Iterable[int]) -> Monomial:
         self = super().__new__(cls, exponents)
-        if not all(isinstance(e, int) for e in self):
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in self):
             raise TypeError("exponent is not an integer")
         if self and min(self) < 0:
             raise ValueError("negative exponent")

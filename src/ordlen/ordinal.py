@@ -124,8 +124,6 @@ class Ordinal(Value, namedtuple("Ordinal", "terms")):
 
 
 ZERO = Ordinal()
-ONE = Ordinal.from_int(1)
-OMEGA = Ordinal.omega_power(1)
 
 
 class OrdinalClass(Value, namedtuple("OrdinalClass",
@@ -190,11 +188,11 @@ def truncate_below(a: Ordinal, i: int) -> Ordinal:
 
 def scalar_mul(n: int, a: Ordinal) -> Ordinal:
     """The sum of n copies of a, i.e. coefficient-wise multiplication by n."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError("scalar is not an integer")
     if n < 0:
         raise ValueError("scalar must be a natural number")
-    if n == 0:
-        return ZERO
-    return Ordinal(tuple((e, n * c) for e, c in a.terms))
+    return Ordinal.from_coeffs({e: n * c for e, c in a.terms})
 
 
 def shuffle_difference(a: Ordinal, b: Ordinal) -> Ordinal:

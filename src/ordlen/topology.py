@@ -26,7 +26,6 @@ from .monomial import (
     _minimize,
     _pairwise,
     ideal_sum,
-    prime_ideal,
 )
 
 DEFAULT_POWER_CAP = 32
@@ -73,19 +72,18 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     A prime that contains a contains a prime of dimension e, so above e
     (a^n + I)/I has the coefficients of R/I, and it is e-open iff no
     associated prime contains a: iff a^n cap L <= I, for L = I : a^infinity,
-    i.e. iff every lcm of a generator of a^n and one of L lies in I.
+    which is K_e of the dimension filtration, as e is the order of R/I: iff
+    every lcm of a generator of a^n and one of L lies in I.
     Artin-Rees guarantees some power works but gives no effective bound;
     the cap converts non-termination risk into a reported error.
     """
     if not r_mod.upper.is_unit:
         raise OrdlenError("e-open power search expects a quotient ring R/I")
     n_vars, low, power = r_mod.ambient_n, r_mod.lower.gens, r_mod.upper.gens  # a^0 = J = R
-    ass = associated_primes(r_mod)
-    if not ass:
-        raise ZeroModuleError("the zero module has no order")
-    e = min(p.dim for p in ass)
-    a = _meet((prime_ideal(p).gens for p in ass if p.dim == e), n_vars)
-    sat = _meet(([tuple(0 if f else c for c, f in zip(h, g)) for h in low] for g in a), n_vars)
+    e = basic_invariants(r_mod).order  # ZeroModuleError for the zero module
+    eye = [tuple(int(i == v) for i in range(n_vars)) for v in range(n_vars)]
+    a = _meet(([eye[v] for v in p.vars] for p in associated_primes(r_mod) if p.dim == e), n_vars)
+    sat = dimension_filtration(r_mod, e).upper.gens
     for n in range(1, cap + 1):
         # the generators of a^n outside I, which with I generate a^n + I
         power = [f for f in _pairwise(add, power, a) if not any(all(map(le, g, f)) for g in low)]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ordlen import invariants
 from ordlen.chow import Cycle, PrimeSupport, prime, zero_cycle
 from ordlen.cli import run_text
 from ordlen.errors import (
@@ -485,7 +486,35 @@ def test_socle_is_the_colon_outside_k(case):
 
     top = [max((g[v] for g in k_gens + j_gens), default=0) for v in range(n)]
     expected = [y for y in minimal_points(top, member) if not in_ideal(k_gens, y)]
-    assert _socle(exponents_of(k), exponents_of(j), p) == expected
+    kg = exponents_of(k)
+    assert [y for y in _socle(kg, exponents_of(j), p) if not in_ideal(kg, y)] == expected
+
+
+def test_cycle_memo_is_bounded():
+    assert invariants._cycle.cache_info().maxsize == invariants._CYCLE_MEMO == 4096
+
+
+def test_b_p_test_rejects_the_socle_members_in_k(monkeypatch, golden_profiles):
+    # _socle may leave members of K in its antichain; at every step of the
+    # search each of them lies in B_p = K : x_S^infinity (a generator of K
+    # divides it on p), which the search tests for every member it takes
+    in_k = []
+
+    def recorded(kg, j, p):
+        out = _socle(kg, j, p)
+        in_k.extend((kg, p, x) for x in out if in_ideal(kg, x))
+        return out
+
+    monkeypatch.setattr(invariants, "_socle", recorded)
+    for seed in range(300):
+        m, _ = random_chain(9000 + seed, golden_profiles[seed % 4])
+        mu = length(m)
+        rng = random.Random(seed)
+        for nu in [mu, Ordinal.from_coeffs({e: rng.randint(0, c) for e, c in mu.terms})]:
+            search_outcome(construct_submodule_of_length, m, nu)
+    assert len(in_k) > 100
+    for kg, p, x in in_k:
+        assert any(all(g[j] <= x[j] for j in p.vars) for g in kg), (kg, p, x)
 
 
 pair_part_cases = st.integers(1, 4).flatmap(
@@ -533,21 +562,13 @@ def test_search_matches_the_scan(small_corpus):
             assert search_outcome(construct_submodule_of_length, m, nu) == expected
 
 
-GOLDEN_PROFILES = [
-    DEFAULT_PROFILE,
-    STRESS_PROFILE,
-    InstanceProfile(max_vars=6, ring_bias=0),
-    InstanceProfile(5, 8, 7, 0.3),
-]
-
-
-def test_search_outcomes_are_pinned():
+def test_search_outcomes_are_pinned(golden_profiles):
     # the witness K (or the failure) of 1,000 seeded searches, at full length
     # and at one weaker target of 500 chains over four profiles, hashed: any
     # change to the search that moves one witness moves the digest
     digest = hashlib.sha256()
     for seed in range(500):
-        m, _ = random_chain(9000 + seed, GOLDEN_PROFILES[seed % 4])
+        m, _ = random_chain(9000 + seed, golden_profiles[seed % 4])
         mu = length(m)
         rng = random.Random(seed)
         for nu in [mu, Ordinal.from_coeffs({e: rng.randint(0, c) for e, c in mu.terms})]:

@@ -24,6 +24,23 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in read | exported)
 
 
+def unbounded_caches(source):
+    """The lines that use functools.cache or an lru_cache with maxsize None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "cache") for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if getattr(node.value, "id", None) == "functools":
+                found.append((node.lineno, "cache"))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            size = [*node.args, *(k.value for k in node.keywords if k.arg == "maxsize")][:1]
+            if name == "lru_cache" and size and getattr(size[0], "value", 0) is None:
+                found.append((node.lineno, "lru_cache"))
+    return sorted(found)
+
+
 def test_no_unused_imports_in_the_package():
     found = {path.name: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert len(found) > 5
@@ -34,3 +51,17 @@ def test_unused_imports_are_found():
     source = "from __future__ import annotations\nimport os.path\nfrom heapq import heappop, heappush\n"
     source += "__all__ = ['heappush']\n\ndef f(x: os.PathLike) -> None:\n    pass\n"
     assert unused_imports(source) == [(3, "heappop")]
+
+
+def test_no_unbounded_caches_in_the_package():
+    found = {path.name: unbounded_caches(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(found) > 5
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_unbounded_caches_are_found():
+    source = "import functools\nfrom functools import cache, lru_cache\n\n@lru_cache(maxsize=None)\n"
+    source += "def f(x):\n    return x\n\n@functools.lru_cache(None)\ndef g(x):\n    return x\n\n"
+    source += "@functools.cache\ndef h(x):\n    return x\n\n"
+    source += "@lru_cache(maxsize=64)\ndef k(x):\n    return x\n\n@lru_cache\ndef m(x):\n    return x\n"
+    assert unbounded_caches(source) == [(2, "cache"), (4, "lru_cache"), (8, "lru_cache"), (12, "cache")]

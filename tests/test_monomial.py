@@ -398,7 +398,11 @@ class TestValueContract:
         lambda: MonomialIdeal._make((1, ((2.5,),))),
         lambda: zero_ideal(1)._replace(gens=((2.5,),)),
         lambda: length(SubquotientModule.quotient_ring(MonomialIdeal(1, [(2.5,)]))),
-    ], ids=["monomial", "integral_float", "times", "constructor", "make", "_make", "_replace", "length"])
+        lambda: Monomial((True, 0)),
+        lambda: MonomialIdeal(2, [(True, 0)]),
+        lambda: MonomialIdeal.make(2, [(1, 0), (0, False)]),
+    ], ids=["monomial", "integral_float", "times", "constructor", "make", "_make", "_replace", "length",
+            "bool", "bool_constructor", "bool_make"])
     def test_non_integer_exponent_is_a_type_error(self, build):
         with pytest.raises(TypeError, match="exponent is not an integer"):
             build()

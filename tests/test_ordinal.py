@@ -297,6 +297,12 @@ class TestValueContract:
         two_w = OrdinalClass._make((1, 1, 2, frozenset({1}), True, False))
         assert classify(W)._replace(valence=2) == two_w == classify(ordn({1: 2}))
 
+    @pytest.mark.parametrize("scalar", [2.5, 2.0, True, False, "2"], ids=["float", "integral_float",
+                                                                       "true", "false", "str"])
+    def test_non_integer_scalar_is_a_type_error(self, scalar):
+        with pytest.raises(TypeError, match="scalar is not an integer"):
+            scalar_mul(scalar, W)
+
     def test_every_library_value_type_is_a_value(self):
         value_types = {
             Ordinal, OrdinalClass, PrimeSupport, Cycle, MonomialIdeal,

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from operator import le
 
@@ -24,8 +25,11 @@ from ordlen.monomial import (
     Monomial,
     MonomialIdeal,
     SubquotientModule,
+    _meet,
     ideal_sum,
     maximal_ideal,
+    prime_ideal,
+    saturation,
     unit_ideal,
     zero_ideal,
 )
@@ -235,6 +239,38 @@ def test_e_open_power_matches_the_reference(chain_corpus):
             assert e_open_outcome(r_mod, cap) == e_open_reference(r_mod, cap)
 
 
+def golden_rings(profiles):
+    """R/I for the lower ideal I of 1,000 seeded chains over the four golden profiles."""
+    for seed in range(1000):
+        m, _ = random_chain(12000 + seed, profiles[seed % 4])
+        yield SubquotientModule.quotient_ring(m.lower)
+
+
+def test_e_open_outcomes_are_pinned(golden_profiles):
+    # the EOpenPower (or the error type) of 1,000 seeded rings at the default
+    # cap and at cap 2, hashed: any change that moves one answer moves the digest
+    digest = hashlib.sha256()
+    for r_mod in golden_rings(golden_profiles):
+        for cap in (DEFAULT_POWER_CAP, 2):
+            try:
+                got = find_e_open_power(r_mod, cap)
+            except OrdlenError as err:
+                got = type(err).__name__
+            digest.update(repr(got).encode() + b"\n")
+    assert digest.hexdigest() == "d3164758471bd5a5d21639b8555c796fa79a882f397932eef540ac3ba2aba8e3"
+
+
+def test_e_open_saturation_is_the_filtration(golden_profiles):
+    # I : a^infinity, for a the meet of the primes of dimension e = ord(R/I)
+    # built as prime ideals, is K_e of the dimension filtration (no ring is
+    # zero: I has no generator of degree 0)
+    for r_mod in golden_rings(golden_profiles):
+        ass = associated_primes(r_mod)
+        e, n = min(p.dim for p in ass), r_mod.ambient_n
+        a = MonomialIdeal(n, _meet((prime_ideal(p).gens for p in ass if p.dim == e), n))
+        assert dimension_filtration(r_mod, e).upper == saturation(r_mod.lower, a)
+
+
 class TestHomVanishing:
     def test_dimension_below_order(self):
         small = SubquotientModule.quotient_ring(maximal_ideal(2))  # dim 0
@@ -345,6 +381,7 @@ class TestCheckedOnce:
         dimension_filtration(M3, 0)
         is_strongly_additive(M3, k)
         cycle_defect(M3, k)
+        find_e_open_power(M3)
         assert built == []
 
     def test_split_is_submodule_and_quotient(self, chain_corpus):
