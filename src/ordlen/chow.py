@@ -12,7 +12,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
 from .errors import AmbientMismatchError, NonEffectiveCycleError
-from .ordinal import Ordinal, Value
+from .ordinal import Ordinal, Value, _check_integers, _ordinal
 
 
 class PrimeSupport(Value, namedtuple("PrimeSupport", "ambient_n vars key")):
@@ -22,12 +22,13 @@ class PrimeSupport(Value, namedtuple("PrimeSupport", "ambient_n vars key")):
     __slots__ = ()
 
     def __new__(cls, ambient_n: int, vars: Iterable[int]) -> PrimeSupport:
-        vars = frozenset(vars)
+        vars = tuple(vars)  # checked before a frozenset can merge False into 0
         if ambient_n < 0:
             raise AmbientMismatchError("negative number of variables")
+        _check_integers(vars, "variable index")
         if any(v < 0 or v >= ambient_n for v in vars):
             raise ValueError("variable index out of range")
-        return tuple.__new__(cls, (ambient_n, vars, (len(vars), tuple(sorted(vars)))))
+        return _prime(ambient_n, frozenset(vars))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> PrimeSupport:
@@ -48,7 +49,12 @@ class PrimeSupport(Value, namedtuple("PrimeSupport", "ambient_n vars key")):
 
 
 def prime(ambient_n: int, vars: Iterable[int]) -> PrimeSupport:
-    return PrimeSupport(ambient_n, frozenset(vars))
+    return PrimeSupport(ambient_n, vars)
+
+
+def _prime(n: int, vars: frozenset[int]) -> PrimeSupport:
+    """The prime of checked variable indices, not checked again."""
+    return tuple.__new__(PrimeSupport, (n, vars, (len(vars), tuple(sorted(vars)))))
 
 
 class Cycle(Value, namedtuple("Cycle", "ambient_n terms")):
@@ -63,6 +69,7 @@ class Cycle(Value, namedtuple("Cycle", "ambient_n terms")):
         for k, (p, c) in enumerate(terms):
             if p.ambient_n != ambient_n:
                 raise AmbientMismatchError("cycle term in wrong ring")
+            _check_integers((c,), "cycle weight")
             if c == 0 or k and p.key <= terms[k - 1][0].key:
                 raise ValueError("cycle terms not canonical: zero coefficient or out of order")
         return tuple.__new__(cls, (ambient_n, terms))
@@ -73,6 +80,7 @@ class Cycle(Value, namedtuple("Cycle", "ambient_n terms")):
     ) -> Cycle:
         acc: dict[PrimeSupport, int] = {}
         for p, c in terms.items() if isinstance(terms, Mapping) else terms:
+            _check_integers((c,), "cycle weight")
             acc[p] = acc.get(p, 0) + c
         canon = tuple(sorted(((p, c) for p, c in acc.items() if c), key=lambda t: t[0].key))
         return cls(ambient_n, canon)
@@ -102,22 +110,32 @@ def zero_cycle(ambient_n: int) -> Cycle:
     return Cycle(ambient_n)
 
 
+def _cycle_of(n: int, terms: tuple[tuple[PrimeSupport, int], ...]) -> Cycle:
+    """The cycle of canonical terms derived from checked values, not checked again."""
+    return tuple.__new__(Cycle, (n, terms))
+
+
 def _merge(d: Cycle, e: Cycle, sign: int) -> Cycle:
     """d + sign * e by one pass over both term tuples in sort-key order."""
     if d.ambient_n != e.ambient_n:
         raise AmbientMismatchError("cycles over different rings")
-    a, b = d.terms, e.terms if sign == 1 else tuple((q, sign * f) for q, f in e.terms)
+    a, b = d.terms, e.terms
+    if not b:
+        return d
     terms, i, j = [], 0, 0
     while i < len(a) and j < len(b):
-        ka, kb = a[i][0].key, b[j][0].key
-        if ka < kb:
+        (p, c), (q, f) = a[i], b[j]
+        if p.key < q.key:
             terms.append(a[i])
-        elif kb < ka:
-            terms.append(b[j])
-        elif a[i][1] + b[j][1]:
-            terms.append((a[i][0], a[i][1] + b[j][1]))
-        i, j = i + (ka <= kb), j + (kb <= ka)
-    return Cycle(d.ambient_n, tuple(terms) + a[i:] + b[j:])
+            i += 1
+        elif q.key < p.key:
+            terms.append((q, sign * f))
+            j += 1
+        else:
+            if c + sign * f:
+                terms.append((p, c + sign * f))
+            i, j = i + 1, j + 1
+    return _cycle_of(d.ambient_n, (*terms, *a[i:], *[(q, sign * f) for q, f in b[j:]]))
 
 
 def cycle_add(d: Cycle, e: Cycle) -> Cycle:
@@ -138,13 +156,14 @@ def cycle_leq(d: Cycle, e: Cycle) -> bool:
 
 def binord(d: Cycle) -> Ordinal:
     """Map an effective cycle to the shuffle sum of omega^dim(p) with multiplicity."""
-    if not d.is_effective:
-        raise NonEffectiveCycleError("binord requires an effective cycle")
     # the terms run in decreasing dimension, so each run of one dimension
     # sums into a single Cantor term and no sort is needed
     terms: list[tuple[int, int]] = []
     for p, c in d.terms:
-        if terms and terms[-1][0] == p.dim:
+        if c < 0:
+            raise NonEffectiveCycleError("binord requires an effective cycle")
+        dim = d.ambient_n - p.key[0]
+        if terms and terms[-1][0] == dim:
             c += terms.pop()[1]
-        terms.append((p.dim, c))
-    return Ordinal(tuple(terms))
+        terms.append((dim, c))
+    return _ordinal(tuple(terms))

@@ -14,7 +14,7 @@ from itertools import islice
 from operator import le, mul
 
 from . import ordinal as ord_
-from .chow import Cycle, PrimeSupport, binord, cycle_add, cycle_sub, zero_cycle
+from .chow import Cycle, PrimeSupport, _cycle_of, _prime, binord, cycle_add, cycle_sub
 from .errors import (
     AmbientMismatchError,
     InvalidSubquotientError,
@@ -30,7 +30,7 @@ from .monomial import (
     _minimize,
     _pairwise,
 )
-from .ordinal import Ordinal, Value
+from .ordinal import Ordinal, Value, _ordinal
 
 
 def _slices(gens: tuple, v: int, cuts: list[int]) -> list[tuple]:
@@ -78,22 +78,23 @@ def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
     drops the old generators that a new one divides: no full minimisation.
     """
     if all(any(all(map(le, g, h)) for g in lower) for h in upper):
-        return zero_cycle(n)
+        return _cycle_of(n, ())
     if not lower:
         # the single standard pair (1, vars) of the zero ideal
-        return Cycle(n, ((PrimeSupport(n, frozenset()), 1),))
+        return _cycle_of(n, ((_prime(n, frozenset()), 1),))
     v = max(j for g in lower for j, e in enumerate(g) if e)
     cuts = sorted({0} | {g[v] for g in lower + upper})
     lows, ups = _slices(lower, v, cuts), _slices(upper, v, cuts)
     top = lows[-1]
-    terms = list(_cycle(n, top, ups[-1]).terms)
+    acc = dict(_cycle(n, top, ups[-1]).terms)
     for k, nxt, low, up in zip(cuts, cuts[1:], lows, ups):
         # a generator of J_k inside I_top stands in for all of its lcms
         inside = {f for f in up if any(all(map(le, g, f)) for g in top)}
         lcms = [tuple(map(max, f, g)) for f in up if f not in inside for g in top]
         for p, c in _cycle(n, low, _minimize(inside.union(lcms))).terms:
-            terms.append((PrimeSupport(n, p.vars | {v}), (nxt - k) * c))
-    return Cycle.from_terms(n, terms)
+            q = _prime(n, p.vars | {v})
+            acc[q] = acc.get(q, 0) + (nxt - k) * c
+    return _cycle_of(n, tuple(sorted(acc.items(), key=lambda t: t[0].key)))
 
 
 def fundamental_cycle(m: SubquotientModule) -> Cycle:
@@ -260,7 +261,7 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
         parts = [(p, _pairwise(max, up, _pair_part(low, p, n)), [j in p.vars for j in range(n)])
                  for p, _ in fc.terms if p.dim == exp]
         for _ in range(coeff):
-            target = ord_.shuffle_sum(target, Ordinal.omega_power(exp))
+            target = ord_.shuffle_sum(target, _ordinal(((exp, 1),)))
             found = []
             for p, jc, mask in parts:
                 bp = [tuple(map(mul, g, mask)) for g in kg]  # B_p's generators, x_S set to 1

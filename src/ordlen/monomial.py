@@ -17,7 +17,7 @@ from operator import add, le, neg
 
 from .chow import PrimeSupport
 from .errors import AmbientMismatchError, InvalidSubquotientError
-from .ordinal import Value
+from .ordinal import Value, _check_integers
 
 
 class Monomial(tuple):
@@ -27,8 +27,7 @@ class Monomial(tuple):
 
     def __new__(cls, exponents: Iterable[int]) -> Monomial:
         self = super().__new__(cls, exponents)
-        if not all(isinstance(e, int) and not isinstance(e, bool) for e in self):
-            raise TypeError("exponent is not an integer")
+        _check_integers(self, "exponent")
         if self and min(self) < 0:
             raise ValueError("negative exponent")
         return self

@@ -4,6 +4,7 @@ An ordinal is kept in Cantor normal form as a sparse tuple of
 (exponent, coefficient) pairs, exponents strictly decreasing and all
 coefficients positive.  Like every library value and result type, Ordinal is
 a Value: a named tuple checked by __new__, _make and _replace, equal only to its own type.
+The operations build their results from checked operands with _ordinal, unchecked.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ class Value(tuple):
         return cls(*iterable)
 
 
+def _check_integers(xs: Iterable, what: str) -> None:
+    """The one integer rule of every value type: an int that is not a bool, or TypeError."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in xs):
+        raise TypeError("%s is not an integer" % what)
+
+
 class Ordinal(Value, namedtuple("Ordinal", "terms")):
     """An ordinal below omega^omega, canonicalized on construction.
 
@@ -45,6 +52,7 @@ class Ordinal(Value, namedtuple("Ordinal", "terms")):
     def __new__(cls, terms: Iterable[tuple[int, int]] = ()) -> Ordinal:
         terms, last = tuple(terms), None
         for exp, coeff in terms:
+            _check_integers((exp, coeff), "Cantor exponent or coefficient")
             if exp < 0 or coeff <= 0:
                 raise ValueError("bad Cantor term (%d, %d)" % (exp, coeff))
             if last is not None and exp >= last:
@@ -57,6 +65,7 @@ class Ordinal(Value, namedtuple("Ordinal", "terms")):
         """Build from {exponent: coefficient}; zero coefficients are dropped."""
         acc: dict[int, int] = {}
         for exp, coeff in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
+            _check_integers((exp, coeff), "Cantor exponent or coefficient")
             acc[exp] = acc.get(exp, 0) + coeff
         return cls(tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True)))
 
@@ -126,6 +135,11 @@ class Ordinal(Value, namedtuple("Ordinal", "terms")):
 ZERO = Ordinal()
 
 
+def _ordinal(terms: tuple[tuple[int, int], ...]) -> Ordinal:
+    """The ordinal of canonical terms derived from checked ordinals, not checked again."""
+    return tuple.__new__(Ordinal, (terms,))
+
+
 class OrdinalClass(Value, namedtuple("OrdinalClass",
                                      "degree order valence support is_limit is_successor")):
     """Derived shape data of an ordinal; degree/order are None for zero."""
@@ -148,7 +162,7 @@ def cantor_sum(a: Ordinal, b: Ordinal) -> Ordinal:
             c += t[1] if t[0] == e else 0
             break
         head.append(t)
-    return Ordinal((*head, (e, c), *b.terms[1:]))
+    return _ordinal((*head, (e, c), *b.terms[1:]))
 
 
 def shuffle_sum(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -156,19 +170,21 @@ def shuffle_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     if not (a.terms and b.terms):
         return b if a.is_zero else a
     acc = dict(a.terms)
-    acc.update((e, acc.get(e, 0) + c) for e, c in b.terms)
-    return Ordinal(tuple(sorted(acc.items(), reverse=True)))
+    for e, c in b.terms:
+        acc[e] = acc.get(e, 0) + c
+    return _ordinal(tuple(sorted(acc.items(), reverse=True)))
 
 
 def meet(a: Ordinal, b: Ordinal) -> Ordinal:
     """Coefficient-wise minimum, the infimum for the weaker order."""
     bc = dict(b.terms)
-    return Ordinal(tuple((e, min(c, bc[e])) for e, c in a.terms if e in bc))
+    return _ordinal(tuple([(e, c if c < bc[e] else bc[e]) for e, c in a.terms if e in bc]))
 
 
 def weaker(a: Ordinal, b: Ordinal) -> bool:
     """The partial order: every coefficient of a is <= that of b."""
-    return all(c <= b.coeff(e) for e, c in a.terms)
+    bc = dict(b.terms)
+    return all(c <= bc.get(e, 0) for e, c in a.terms)
 
 
 def leq(a: Ordinal, b: Ordinal) -> bool:
@@ -178,18 +194,17 @@ def leq(a: Ordinal, b: Ordinal) -> bool:
 
 def truncate_above(a: Ordinal, i: int) -> Ordinal:
     """Keep only the terms of exponent >= i + 1."""
-    return Ordinal(tuple((e, c) for e, c in a.terms if e > i))
+    return _ordinal(tuple([t for t in a.terms if t[0] > i]))
 
 
 def truncate_below(a: Ordinal, i: int) -> Ordinal:
     """Keep only the terms of exponent <= i; complements truncate_above."""
-    return Ordinal(tuple((e, c) for e, c in a.terms if e <= i))
+    return _ordinal(tuple([t for t in a.terms if t[0] <= i]))
 
 
 def scalar_mul(n: int, a: Ordinal) -> Ordinal:
     """The sum of n copies of a, i.e. coefficient-wise multiplication by n."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("scalar is not an integer")
+    _check_integers((n,), "scalar")
     if n < 0:
         raise ValueError("scalar must be a natural number")
     return Ordinal.from_coeffs({e: n * c for e, c in a.terms})
@@ -200,4 +215,4 @@ def shuffle_difference(a: Ordinal, b: Ordinal) -> Ordinal:
     if not weaker(b, a):
         raise ValueError("difference defined only when b is weaker than a")
     bc = dict(b.terms)
-    return Ordinal(tuple((e, c - bc.get(e, 0)) for e, c in a.terms if c != bc.get(e, 0)))
+    return _ordinal(tuple([(e, c - bc.get(e, 0)) for e, c in a.terms if c != bc.get(e, 0)]))

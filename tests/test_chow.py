@@ -14,7 +14,16 @@ from ordlen.chow import (
 )
 from ordlen.errors import AmbientMismatchError, NonEffectiveCycleError
 from ordlen.monomial import zero_ideal
-from ordlen.ordinal import Ordinal, shuffle_sum, weaker
+from ordlen.ordinal import (
+    Ordinal,
+    cantor_sum,
+    meet,
+    shuffle_difference,
+    shuffle_sum,
+    truncate_above,
+    truncate_below,
+    weaker,
+)
 
 N = 3
 PX = prime(N, [0])
@@ -164,6 +173,30 @@ def test_binord_is_from_coeffs(d):
     assert binord(d) == Ordinal.from_coeffs([(p.dim, c) for p, c in d.terms])
 
 
+ordinals = st.dictionaries(st.integers(0, 5), st.integers(1, 5), max_size=4).map(
+    Ordinal.from_coeffs
+)
+
+
+@given(ordinals, ordinals, st.integers(-1, 6), signed_cycles, signed_cycles, effective_cycles)
+def test_results_pass_the_checked_constructors(a, b, i, d, e, f):
+    """The nine operations build their results unchecked; the checked constructors accept each."""
+    results = [
+        cantor_sum(a, b),
+        shuffle_sum(a, b),
+        meet(a, b),
+        truncate_above(a, i),
+        truncate_below(a, i),
+        shuffle_difference(shuffle_sum(a, b), b),
+        shuffle_difference(a, meet(a, b)),
+        cycle_add(d, e),
+        cycle_sub(d, e),
+        binord(f),
+    ]
+    for r in results:
+        assert type(r)._make(r) == r
+
+
 class TestValueContract:
     """Primes and cycles are named tuples that equal only their own type."""
 
@@ -212,6 +245,23 @@ class TestValueContract:
         assert PrimeSupport._make(PXY) == PXY and PXY._replace() == PXY
         with pytest.raises(ValueError, match="out of range"):
             PX._replace(vars=frozenset({3}))
+
+    @pytest.mark.parametrize("build, what", [
+        (lambda: PrimeSupport(2, [0.5]), "variable index"),
+        (lambda: PrimeSupport(2, [True]), "variable index"),
+        (lambda: prime(2, ["0"]), "variable index"),
+        (lambda: prime(2, [0, False]), "variable index"),
+        (lambda: PX._replace(vars=frozenset({1.0})), "variable index"),
+        (lambda: Cycle(2, ((prime(2, [0]), 1.5),)), "cycle weight"),
+        (lambda: Cycle(2, ((prime(2, [0]), True),)), "cycle weight"),
+        (lambda: Cycle.from_terms(2, {prime(2, [0]): 1.5}), "cycle weight"),
+        (lambda: Cycle.from_terms(2, [(prime(2, [0]), 1), (prime(2, [0]), True)]), "cycle weight"),
+        (lambda: zero_cycle(N)._replace(terms=((PX, "2"),)), "cycle weight"),
+    ], ids=["float_index", "bool_index", "str_index", "bool_beside_its_int", "replace_index",
+            "float_weight", "bool_weight", "from_terms_float", "from_terms_bool", "replace_weight"])
+    def test_non_integer_is_a_type_error(self, build, what):
+        with pytest.raises(TypeError, match=what + " is not an integer"):
+            build()
 
     def test_make_and_replace_run_the_checks(self):
         with pytest.raises(ValueError, match="not canonical"):

@@ -134,6 +134,19 @@ class TestFundamentalCycleAndLength:
         m = ring_mod(2, (2, 0), (1, 1))
         assert length(m) == Ordinal.from_coeffs({1: 1, 0: 1})
 
+    @pytest.mark.parametrize("profile", [DEFAULT_PROFILE, STRESS_PROFILE],
+                             ids=["default", "stress"])
+    def test_cycles_pass_the_checked_constructors(self, profile):
+        # the slice recursion builds its primes and cycles unchecked
+        invariants._cycle.cache_clear()
+        for seed in range(300):
+            m, k = random_chain(seed, profile)
+            for part in (m, *m.split(k)):
+                fc = fundamental_cycle(part)
+                assert Cycle._make(fc) == fc
+                for p, _ in fc.terms:
+                    assert p == PrimeSupport(p.ambient_n, p.vars)  # the stored key compares too
+
 
 class TestHeightRank:
     def test_full_submodule(self):

@@ -303,6 +303,15 @@ class TestValueContract:
         with pytest.raises(TypeError, match="scalar is not an integer"):
             scalar_mul(scalar, W)
 
+    @pytest.mark.parametrize("terms", [[(1, 2.5)], [(True, 1)], [(1, False)], [(-1.5, 1)], [(1, "a")],
+                                       [(2, 1), (1.0, 1)]],
+                             ids=["float_coeff", "true_exp", "false_coeff", "negative_float_exp",
+                                  "str_coeff", "integral_float_exp"])
+    def test_non_integer_term_is_a_type_error(self, terms):
+        for build in (Ordinal, Ordinal.from_coeffs, lambda t: ZERO._replace(terms=t)):
+            with pytest.raises(TypeError, match="Cantor exponent or coefficient is not an integer"):
+                build(terms)
+
     def test_every_library_value_type_is_a_value(self):
         value_types = {
             Ordinal, OrdinalClass, PrimeSupport, Cycle, MonomialIdeal,

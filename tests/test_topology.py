@@ -4,7 +4,16 @@ from operator import le
 
 import pytest
 
-from ordlen.chow import zero_cycle
+from ordlen.chow import (
+    Cycle,
+    PrimeSupport,
+    binord,
+    cycle_add,
+    cycle_leq,
+    cycle_sub,
+    prime,
+    zero_cycle,
+)
 from ordlen.errors import (
     AmbientMismatchError,
     InvalidSubquotientError,
@@ -13,6 +22,7 @@ from ordlen.errors import (
     ZeroModuleError,
 )
 from ordlen.invariants import (
+    _cycle,
     associated_primes,
     basic_invariants,
     construct_submodule_of_length,
@@ -34,7 +44,17 @@ from ordlen.monomial import (
     zero_ideal,
 )
 from ordlen.oracle import STRESS_PROFILE, random_chain
-from ordlen.ordinal import Ordinal
+from ordlen.ordinal import (
+    Ordinal,
+    cantor_sum,
+    leq,
+    meet,
+    shuffle_difference,
+    shuffle_sum,
+    truncate_above,
+    truncate_below,
+    weaker,
+)
 from ordlen.topology import (
     DEFAULT_POWER_CAP,
     EOpenPower,
@@ -368,20 +388,48 @@ class TestCheckedOnce:
         call(M3, self.WITNESS)
         assert len(calls) == checks
 
-    def test_derived_values_skip_the_constructors(self, monkeypatch):
+    @staticmethod
+    def count_builds(monkeypatch, *classes):
+        """The classes whose checked __new__ runs from now on, one entry per call."""
         built = []
-        for cls in (Monomial, MonomialIdeal, SubquotientModule):
+        for cls in classes:
             def counted(c, *args, _new=cls.__new__):
                 built.append(c)
                 return _new(c, *args)
 
             monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+        return built
+
+    def test_derived_values_skip_the_constructors(self, monkeypatch):
+        built = self.count_builds(monkeypatch, Monomial, MonomialIdeal, SubquotientModule)
         k = self.WITNESS
         ideal_sum(k, M3.lower)
         dimension_filtration(M3, 0)
         is_strongly_additive(M3, k)
         cycle_defect(M3, k)
         find_e_open_power(M3)
+        assert built == []
+
+    def test_arithmetic_skips_the_value_constructors(self, monkeypatch):
+        a, b = Ordinal.from_coeffs({2: 1, 0: 3}), Ordinal.from_coeffs({2: 2, 1: 1, 0: 3})
+        d = Cycle.from_terms(3, {prime(3, [0]): 2})
+        e = Cycle.from_terms(3, {prime(3, [0]): 2, prime(3, [0, 1]): 1})  # cycle_sub cancels at (x)
+        built = self.count_builds(monkeypatch, Ordinal, Cycle, PrimeSupport)
+        for op in (cantor_sum, shuffle_sum, meet, weaker, leq, shuffle_difference):
+            op(b, a)  # a is weaker than b, as shuffle_difference needs
+        for op in (truncate_above, truncate_below):
+            op(b, 1)
+        for op in (cycle_add, cycle_sub, cycle_leq):
+            op(d, e)
+        binord(d)
+        assert built == []
+
+    def test_length_skips_the_value_constructors(self, monkeypatch):
+        modules = [M3, M2] + [m for m, _ in (random_chain(s, STRESS_PROFILE) for s in range(20))]
+        built = self.count_builds(monkeypatch, Ordinal, Cycle, PrimeSupport)
+        _cycle.cache_clear()
+        for m in modules:
+            length(m)
         assert built == []
 
     def test_split_is_submodule_and_quotient(self, chain_corpus):
