@@ -11,7 +11,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
-from operator import le, mul
+from operator import mul
 
 from . import ordinal as ord_
 from .chow import Cycle, PrimeSupport, _cycle_of, _prime, binord, cycle_add, cycle_sub
@@ -25,6 +25,7 @@ from .monomial import (
     Monomial,
     MonomialIdeal,
     SubquotientModule,
+    _divides,
     _ideal,
     _meet,
     _minimize,
@@ -42,7 +43,7 @@ def _slices(gens: tuple, v: int, cuts: list[int]) -> list[tuple]:
     for k in cuts:
         if k in entering:
             new = entering[k]
-            kept = [h for h in kept if not any(all(map(le, g, h)) for g in new)] + new
+            kept = [h for h in kept if not _divides(new, h)] + new
             cur = tuple(sorted(sorted(kept, reverse=True), key=sum))
         out.append(cur)
     return out
@@ -77,7 +78,7 @@ def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
     already in, or one generator of I would divide another.  A cut only
     drops the old generators that a new one divides: no full minimisation.
     """
-    if all(any(all(map(le, g, h)) for g in lower) for h in upper):
+    if all(_divides(lower, h) for h in upper):
         return _cycle_of(n, ())
     if not lower:
         # the single standard pair (1, vars) of the zero ideal
@@ -89,7 +90,7 @@ def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
     acc = dict(_cycle(n, top, ups[-1]).terms)
     for k, nxt, low, up in zip(cuts, cuts[1:], lows, ups):
         # a generator of J_k inside I_top stands in for all of its lcms
-        inside = {f for f in up if any(all(map(le, g, f)) for g in top)}
+        inside = {f for f in up if _divides(top, f)}
         lcms = [tuple(map(max, f, g)) for f in up if f not in inside for g in top]
         for p, c in _cycle(n, low, _minimize(inside.union(lcms))).terms:
             q = _prime(n, p.vars | {v})
@@ -256,19 +257,23 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
         raise InvalidSubquotientError("target length is not weaker than the module length")
     bound = max(m.lower.max_degree, m.upper.max_degree) + mu.valence
     n, low, up = m.ambient_n, m.lower.gens, m.upper.gens
-    kg, target = low, ord_.ZERO
-    for exp, coeff in nu.terms:
+    kg = list(low)
+    for t, (exp, coeff) in enumerate(nu.terms):
         parts = [(p, _pairwise(max, up, _pair_part(low, p, n)), [j in p.vars for j in range(n)])
                  for p, _ in fc.terms if p.dim == exp]
-        for _ in range(coeff):
-            target = ord_.shuffle_sum(target, _ordinal(((exp, 1),)))
+        # B_p's generators, x_S set to 1: those of K at the first step, then each new x
+        bps = [[tuple(map(mul, g, mask)) for g in kg] for _, _, mask in parts]
+        for step in range(1, coeff + 1):
             found = []
-            for p, jc, mask in parts:
-                bp = [tuple(map(mul, g, mask)) for g in kg]  # B_p's generators, x_S set to 1
+            for (p, jc, _), bp in zip(parts, bps):
                 found += islice((x for x in _socle(kg, jc, p) if sum(x) <= bound
-                                 and not any(all(map(le, g, x)) for g in bp)), 1)
+                                 and not _divides(bp, x)), 1)
             if not found:
                 msg = "no monomial submodule of length %s found within degree %d (module %r)"
-                raise SubmoduleSearchError(msg % (target, bound, m))
-            kg = _minimize(kg + (min(found, key=Monomial.sort_key),))
-    return _ideal(n, kg)
+                raise SubmoduleSearchError(msg % (_ordinal(nu.terms[:t] + ((exp, step),)), bound, m))
+            # x is outside B_p, which holds K: K gains x and loses the generators x divides
+            x = min(found, key=Monomial.sort_key)
+            kg = [g for g in kg if not _divides((x,), g)] + [x]
+            for (_, _, mask), bp in zip(parts, bps):
+                bp.append(tuple(map(mul, x, mask)))
+    return _ideal(n, _minimize(kg))

@@ -63,11 +63,19 @@ def variable(n: int, i: int) -> Monomial:
     return Monomial(1 if j == i else 0 for j in range(n))
 
 
+def _divides(gens: Iterable[tuple[int, ...]], m: tuple[int, ...]) -> bool:
+    """True iff some tuple of gens divides m: the one divisibility test of the engine."""
+    for g in gens:
+        if all(map(le, g, m)):
+            return True
+    return False
+
+
 def _minimize(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     # Monomial.sort_key order: by degree, ties lexicographically decreasing
     kept: list[tuple[int, ...]] = []
     for e in sorted(sorted(set(exps), reverse=True), key=sum):
-        if not any(all(map(le, h, e)) for h in kept):
+        if not _divides(kept, e):
             kept.append(e)
     return tuple(kept)
 
@@ -117,11 +125,11 @@ class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):
     def contains(self, m: tuple[int, ...]) -> bool:
         if len(m) != self.ambient_n:
             raise AmbientMismatchError("monomial in wrong ring")
-        return any(all(map(le, g, m)) for g in self.gens)
+        return _divides(self.gens, Monomial(m))  # Monomial checks the exponents
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
         _check_ring(self, other)
-        return all(any(all(map(le, g, h)) for g in self.gens) for h in other.gens)
+        return all(_divides(self.gens, h) for h in other.gens)
 
 
 def _ideal(n: int, antichain: Iterable[tuple[int, ...]]) -> MonomialIdeal:
@@ -168,6 +176,7 @@ def ideal_product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_power(i: MonomialIdeal, n: int) -> MonomialIdeal:
+    _check_integers((n,), "power")
     if n < 0:
         raise ValueError("negative power")
     out = unit_ideal(i.ambient_n)

@@ -8,7 +8,7 @@ manipulated.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add, le
+from operator import add
 
 from . import ordinal as ord_
 from .errors import AmbientMismatchError, OrdlenError, ResourceCapError, ZeroModuleError
@@ -21,10 +21,10 @@ from .invariants import (
 from .monomial import (
     MonomialIdeal,
     SubquotientModule,
+    _divides,
     _ideal,
     _meet,
     _minimize,
-    _pairwise,
     ideal_sum,
 )
 
@@ -61,6 +61,13 @@ def closure(m: SubquotientModule, k: MonomialIdeal) -> MonomialIdeal:
     return ideal_sum(k, dimension_filtration(m, 0).upper)
 
 
+def _power_outside(power: tuple, a: tuple, low: tuple) -> tuple:
+    """The generators of power * a + I outside I = (low), minimised after the products
+    in I are dropped: no product outside I has a divisor in I."""
+    products = (tuple(map(add, g, h)) for g in power for h in a)
+    return _minimize(f for f in products if not _divides(low, f))
+
+
 class EOpenPower(ord_.Value, namedtuple("EOpenPower", "n ideal")):
     __slots__ = ()
 
@@ -85,9 +92,8 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     a = _meet(([eye[v] for v in p.vars] for p in associated_primes(r_mod) if p.dim == e), n_vars)
     sat = dimension_filtration(r_mod, e).upper.gens
     for n in range(1, cap + 1):
-        # the generators of a^n outside I, which with I generate a^n + I
-        power = [f for f in _pairwise(add, power, a) if not any(all(map(le, g, f)) for g in low)]
-        if all(any(all(map(le, g, map(max, f, h))) for g in low) for f in power for h in sat):
+        power = _power_outside(power, a, low)
+        if all(_divides(low, tuple(map(max, f, h))) for f in power for h in sat):
             return EOpenPower(n, _ideal(n_vars, _minimize([*power, *low])))
     raise ResourceCapError("no e-open power of the ideal found up to the cap %d" % cap)
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import random
+import re
 from heapq import heappop, heappush
 from operator import le, neg
 
@@ -362,6 +363,24 @@ class TestConstructSubmodule:
     def test_rejects_non_weaker_target(self):
         with pytest.raises(InvalidSubquotientError):
             construct_submodule_of_length(M3, Ordinal.omega_power(3))
+
+    @pytest.mark.parametrize("calls, reached", [(0, "ω"), (2, "2ω"), (4, "2ω + 1"), (5, "2ω + 2")])
+    def test_failure_names_the_length_of_its_step(self, monkeypatch, calls, reached):
+        # R/(x^2 y, x y^3) at its length 2ω + 2: two steps at the primes (x) and
+        # (y), then two at (x, y), one _socle each per prime.  With every
+        # _socle past the first `calls` empty, the error names the length that
+        # the failed step would have reached
+        m = ring_mod(2, (2, 1), (1, 3))
+        socle, seen = invariants._socle, []
+
+        def socle_until(*args):
+            seen.append(None)
+            return socle(*args) if len(seen) <= calls else ()
+
+        monkeypatch.setattr(invariants, "_socle", socle_until)
+        msg = "no monomial submodule of length %s found within degree 8 (module %r)" % (reached, m)
+        with pytest.raises(SubmoduleSearchError, match=re.escape(msg)):
+            construct_submodule_of_length(m, Ordinal.from_coeffs({1: 2, 0: 2}))
 
 
 def scan_candidates(k, j, primes, bound):

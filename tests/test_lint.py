@@ -65,3 +65,33 @@ def test_unbounded_caches_are_found():
     source += "@functools.cache\ndef h(x):\n    return x\n\n"
     source += "@lru_cache(maxsize=64)\ndef k(x):\n    return x\n\n@lru_cache\ndef m(x):\n    return x\n"
     assert unbounded_caches(source) == [(2, "cache"), (4, "lru_cache"), (8, "lru_cache"), (12, "cache")]
+
+
+def divisibility_scans(source):
+    """The calls map(le, ...) of a module, each with its line and the function it sits in."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "map" and child.args:
+                if "le" in (getattr(child.args[0], "id", None), getattr(child.args[0], "attr", None)):
+                    found.append((child.lineno, where))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_one_divisibility_kernel_in_the_package():
+    # every divisibility test of the engine goes through monomial._divides, so a
+    # change of the exponent representation has one scan to change
+    found = [(path.name, where) for path in sorted(PACKAGE.glob("*.py"))
+             for _, where in divisibility_scans(path.read_text())]
+    assert found == [("monomial.py", "_divides")]
+
+
+def test_divisibility_scans_are_found():
+    source = "import operator\nfrom operator import le\n\nok = all(map(le, (1,), (2,)))\n\n"
+    source += "class A:\n    def f(self, g, m):\n        return any(all(map(le, h, m)) for h in g)\n\n"
+    source += "def g(a, b):\n    return all(map(operator.le, a, b)) and all(map(max, a, b))\n"
+    assert divisibility_scans(source) == [(4, None), (8, "f"), (11, "g")]

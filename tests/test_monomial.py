@@ -12,6 +12,7 @@ from ordlen.monomial import (
     Monomial,
     MonomialIdeal,
     SubquotientModule,
+    _divides,
     colon,
     ideal_intersection,
     ideal_power,
@@ -69,6 +70,13 @@ class TestAgainstDefinitions:
         for m in monomials_up_to(n, 5):
             member = any(all(x <= y for x, y in zip(g, m.exponents)) for g in gens)
             assert made.contains(m) == member
+
+    @given(generator_sets, st.lists(st.integers(0, 4), min_size=3, max_size=3))
+    def test_divides_is_divisibility_by_some_generator(self, case, point):
+        n, gens = case
+        m = tuple(point[:n])
+        assert _divides(gens, m) == any(all(a <= b for a, b in zip(g, m)) for g in gens)
+        assert not _divides([], m)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -401,11 +409,23 @@ class TestValueContract:
         lambda: Monomial((True, 0)),
         lambda: MonomialIdeal(2, [(True, 0)]),
         lambda: MonomialIdeal.make(2, [(1, 0), (0, False)]),
+        lambda: MonomialIdeal(2, [(1, 0)]).contains((1.5, 0)),
+        lambda: MonomialIdeal(2, [(1, 0)]).contains((True, 0)),
     ], ids=["monomial", "integral_float", "times", "constructor", "make", "_make", "_replace", "length",
-            "bool", "bool_constructor", "bool_make"])
+            "bool", "bool_constructor", "bool_make", "contains", "bool_contains"])
     def test_non_integer_exponent_is_a_type_error(self, build):
         with pytest.raises(TypeError, match="exponent is not an integer"):
             build()
+
+    def test_contains_rejects_a_negative_exponent(self):
+        # the unit ideal holds every monomial, and (-1, 3) is none
+        with pytest.raises(ValueError, match="negative exponent"):
+            unit_ideal(2).contains((-1, 3))
+
+    @pytest.mark.parametrize("power", [True, False, 2.5, 2.0], ids=["true", "false", "float", "integral_float"])
+    def test_non_integer_power_is_a_type_error(self, power):
+        with pytest.raises(TypeError, match="power is not an integer"):
+            ideal_power(MonomialIdeal(2, [(1, 0)]), power)
 
 
 class TestOneConstructor:

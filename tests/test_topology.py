@@ -1,6 +1,6 @@
 import hashlib
 import itertools
-from operator import le
+from operator import add, le
 
 import pytest
 
@@ -36,6 +36,7 @@ from ordlen.monomial import (
     MonomialIdeal,
     SubquotientModule,
     _meet,
+    _pairwise,
     ideal_sum,
     maximal_ideal,
     prime_ideal,
@@ -58,6 +59,7 @@ from ordlen.ordinal import (
 from ordlen.topology import (
     DEFAULT_POWER_CAP,
     EOpenPower,
+    _power_outside,
     closure,
     find_e_open_power,
     hom_vanishes,
@@ -257,6 +259,26 @@ def test_e_open_power_matches_the_reference(chain_corpus):
     for r_mod in rings:
         for cap in (DEFAULT_POWER_CAP, 1, 2, 3):
             assert e_open_outcome(r_mod, cap) == e_open_reference(r_mod, cap)
+
+
+def test_power_step_matches_minimise_then_filter(chain_corpus):
+    # the e-open step drops the products in I before it minimises; the reference
+    # minimises every product of power and a, then drops those in I
+    modules = [m for m, _ in chain_corpus] + [random_chain(s, STRESS_PROFILE)[0] for s in range(400)]
+    rings = [m for m in modules if m.upper.is_unit and not m.is_zero]
+    steps = 0
+    for r_mod in rings:
+        n, low = r_mod.ambient_n, r_mod.lower.gens
+        e = basic_invariants(r_mod).order
+        a = _meet(([tuple(int(i == v) for i in range(n)) for v in sorted(p.vars)]
+                   for p in associated_primes(r_mod) if p.dim == e), n)
+        power = r_mod.upper.gens
+        for _ in range(6):
+            want = tuple(f for f in _pairwise(add, power, a) if not any(all(map(le, g, f)) for g in low))
+            power = _power_outside(power, a, low)
+            assert power == want
+            steps += bool(power)
+    assert steps > 500
 
 
 def golden_rings(profiles):
