@@ -8,7 +8,7 @@ Grammar (whitespace-insensitive, '#' comments):
     mono    := factor ("*" factor)*
     factor  := ident ("^" integer)?
     command := "len" ref | "cycle" ref | "ass" ref | "filtration" ref
-             | "open" ref ref | "iopen" integer ref ref | "closure" ref ref
+             | "open" ref ref | "iopen" "-"? integer ref ref | "closure" ref ref
              | "homvanishes" ref ref | "submodlen" ref ordinal
     ordinal := term ("+" term)* ;  term := integer | integer? "w" ("^" integer)?
     ref     := ident | ident "/" ident      (R/I, respectively J/I)
@@ -26,9 +26,11 @@ import json
 import re
 import sys
 from collections import namedtuple
+from collections.abc import Callable
+from functools import partial
 
 from . import invariants, topology
-from .chow import Cycle, PrimeSupport
+from .chow import PrimeSupport
 from .errors import OrdlenError, ResourceCapError, TooManyVariablesError
 from .monomial import MonomialIdeal, SubquotientModule, unit_ideal
 from .ordinal import Ordinal, truncate_above
@@ -202,12 +204,16 @@ class Parser:
             return self.parse_binding()
         raise self.error("expected 'ring', a command, or an ideal binding")
 
+    def parse_list(self, sep: str, item: Callable[[], object]) -> tuple:
+        """item (sep item)*: every separated list of the grammar."""
+        items = [item()]
+        while self.accept(sep):
+            items.append(item())
+        return tuple(items)
+
     def parse_ring(self) -> RingDecl:
         self.pos += 1
-        names = [self.expect_ident("variable name")]
-        while self.accept(","):
-            names.append(self.expect_ident("variable name"))
-        return RingDecl(tuple(names))
+        return RingDecl(self.parse_list(",", partial(self.expect_ident, "variable name")))
 
     def parse_binding(self) -> Binding:
         # parse_statement has seen the name and its "="
@@ -219,10 +225,7 @@ class Parser:
         if self.peek()[:2] == ("INT", "0"):
             self.pos += 1
             return IdealExpr(())
-        monos = [self.parse_monomial()]
-        while self.accept(","):
-            monos.append(self.parse_monomial())
-        return IdealExpr(tuple(monos))
+        return IdealExpr(self.parse_list(",", self.parse_monomial))
 
     def parse_monomial(self) -> tuple[tuple[Name, int], ...]:
         kind, value, _, _ = self.peek()
@@ -231,10 +234,7 @@ class Parser:
                 self.pos += 1
                 return ()
             raise self.error("only the literals 0 and 1 are allowed in ideals")
-        factors = [self.parse_factor()]
-        while self.accept("*"):
-            factors.append(self.parse_factor())
-        return tuple(factors)
+        return self.parse_list("*", self.parse_factor)
 
     def parse_factor(self) -> tuple[Name, int]:
         name = self.expect_ident("variable name")
@@ -251,10 +251,7 @@ class Parser:
         return Ref(lower=first, upper=None)
 
     def parse_ordinal(self) -> Ordinal:
-        terms = [self.parse_ordinal_term()]
-        while self.accept("+"):
-            terms.append(self.parse_ordinal_term())
-        return Ordinal.from_coeffs(terms)
+        return Ordinal.from_coeffs(self.parse_list("+", self.parse_ordinal_term))
 
     def parse_ordinal_term(self) -> tuple[int, int]:
         coeff = self.expect_int() if self.peek()[0] == "INT" else None
@@ -305,38 +302,25 @@ def render_monomial(m, names: list[str]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def render_ideal(i: MonomialIdeal, names: list[str]) -> str:
-    if i.is_zero:
-        return "(0)"
-    return "(%s)" % ", ".join(render_monomial(g, names) for g in i.gens)
-
-
-def render_prime(p: PrimeSupport, names: list[str]) -> str:
-    if not p.vars:
-        return "(0)"
-    return "(%s)" % ",".join(names[v] for v in sorted(p.vars))
-
-
-def render_cycle(c: Cycle, names: list[str]) -> str:
-    if c.is_zero:
-        return "0"
-    parts = []
-    for p, mult in c.terms:
-        head = "" if mult == 1 else str(mult)
-        parts.append("%s[%s]" % (head, render_prime(p, names)))
-    return " + ".join(parts)
+# An answer is built once, as the lists of names its JSON object holds; the
+# text line joins the same lists.
 
 
 def ordinal_json(a: Ordinal) -> dict:
     return {str(e): c for e, c in a.terms}
 
 
-def cycle_json(c: Cycle, names: list[str]) -> list[dict]:
-    return [{"vars": [names[v] for v in sorted(p.vars)], "mult": mult} for p, mult in c.terms]
-
-
 def ideal_json(i: MonomialIdeal, names: list[str]) -> list[str]:
     return [render_monomial(g, names) for g in i.gens]
+
+
+def prime_json(p: PrimeSupport, names: list[str]) -> list[str]:
+    return [names[v] for v in sorted(p.vars)]
+
+
+def paren(items: list[str], sep: str = ", ") -> str:
+    """The text of an ideal or prime from its names: (0) when it has none."""
+    return "(%s)" % sep.join(items) if items else "(0)"
 
 
 # ---------------------------------------------------------------- evaluation
@@ -442,21 +426,20 @@ class Runner:
             k = self.lookup(witness.lower)  # m.submodule checks I <= K <= J
         if cmd.kind == "len":
             mu = invariants.length(m)
-            text = "len %s = %s" % (disp, self.disp(mu))
             obj.update(length=ordinal_json(mu), display=self.disp(mu))
+            text = "len %s = %s" % (disp, obj["display"])
         elif cmd.kind == "cycle":
-            fc = invariants.fundamental_cycle(m)
-            text = render_cycle(fc, names)
-            obj["cycle"] = cycle_json(fc, names)
+            terms = invariants.fundamental_cycle(m).terms
+            obj["cycle"] = [{"vars": prime_json(p, names), "mult": mult} for p, mult in terms]
+            text = " + ".join("%s[%s]" % ("" if t["mult"] == 1 else t["mult"],
+                                          paren(t["vars"], ",")) for t in obj["cycle"]) or "0"
         elif cmd.kind == "ass":
-            primes = [p for p, _ in invariants.fundamental_cycle(m).terms]  # in sort_key order
-            text = ", ".join(render_prime(p, names) for p in primes) if primes else "none"
-            obj["primes"] = [[names[v] for v in sorted(p.vars)] for p in primes]
+            terms = invariants.fundamental_cycle(m).terms  # primes in sort_key order
+            obj["primes"] = [prime_json(p, names) for p, _ in terms]
+            text = ", ".join(paren(p, ",") for p in obj["primes"]) or "none"
         elif cmd.kind == "filtration":
-            ideals = invariants.filtration_chain(m)
-            joiner = " <= " if self.ascii_only else " ⊆ "
-            text = joiner.join(render_ideal(k, names) for k in ideals)
-            obj["ideals"] = [ideal_json(k, names) for k in ideals]
+            obj["ideals"] = [ideal_json(k, names) for k in invariants.filtration_chain(m)]
+            text = (" <= " if self.ascii_only else " ⊆ ").join(map(paren, obj["ideals"]))
         elif cmd.kind in ("open", "iopen"):
             # open is iopen -1 (topology.is_open); K/I is built once, for both answer and length
             i, label = (-1, "open") if cmd.kind == "open" else (cmd.index, "i-open")
@@ -464,21 +447,22 @@ class Runner:
                 obj["i"] = i
             sub_len = invariants.length(m.submodule(k))
             opn = sub_len == truncate_above(invariants.length(m), i)
-            text = label if opn else "not %s (len = %s)" % (label, self.disp(sub_len))
-            obj.update({"submodule": render_ideal(k, names), cmd.kind: opn,
+            obj.update({"submodule": paren(ideal_json(k, names)), cmd.kind: opn,
                         "length": ordinal_json(sub_len), "display": self.disp(sub_len)})
-        elif cmd.kind == "closure":
-            cl = topology.closure(m, k)
-            text = render_ideal(cl, names)
-            obj.update(submodule=render_ideal(k, names), ideal=ideal_json(cl, names))
+            text = label if opn else "not %s (len = %s)" % (label, obj["display"])
         elif cmd.kind == "homvanishes":
             res = topology.hom_vanishes(m, self.resolve(cmd.refs[1]))
-            text = "true" if res else "false"
             obj.update(target=cmd.refs[1].display(), vanishes=res)
-        else:  # submodlen
-            k = invariants.construct_submodule_of_length(m, cmd.ordinal)
-            text = render_ideal(k, names)
-            obj.update(target=ordinal_json(cmd.ordinal), ideal=ideal_json(k, names))
+            text = "true" if res else "false"
+        else:  # closure and submodlen answer with an ideal
+            if cmd.kind == "closure":
+                obj["submodule"] = paren(ideal_json(k, names))
+                answer = topology.closure(m, k)
+            else:
+                obj["target"] = ordinal_json(cmd.ordinal)
+                answer = invariants.construct_submodule_of_length(m, cmd.ordinal)
+            obj["ideal"] = ideal_json(answer, names)
+            text = paren(obj["ideal"])
         self.emit(text, obj)
 
 

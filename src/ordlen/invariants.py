@@ -175,6 +175,7 @@ def _filtration(m: SubquotientModule) -> Iterator[MonomialIdeal]:
 def dimension_filtration(m: SubquotientModule, i: int) -> SubquotientModule:
     """The largest submodule K_i/I of J/I of dimension at most i (see _filtration);
     the zero submodule (K = I) when no associated prime has dimension <= i."""
+    ord_._check_integers((i,), "filtration index")
     if i < -1:
         raise ValueError("filtration index must be >= -1")
     *_, k = islice(_filtration(m), i + 2)

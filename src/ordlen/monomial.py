@@ -51,7 +51,7 @@ class Monomial(tuple):
     def times(self, other: tuple[int, ...]) -> Monomial:
         if len(other) != len(self):
             raise AmbientMismatchError("monomial in wrong ring")
-        return Monomial(map(add, self, other))
+        return Monomial(map(add, self, Monomial(other)))
 
     def sort_key(self) -> tuple:
         # degree-lexicographic with x_0 > x_1 > ..., the deterministic
@@ -60,6 +60,10 @@ class Monomial(tuple):
 
 
 def variable(n: int, i: int) -> Monomial:
+    """The monomial x_i of k[x_0..x_{n-1}]."""
+    _check_integers((i,), "variable index")
+    if not 0 <= i < n:
+        raise ValueError("variable index out of range")
     return Monomial(1 if j == i else 0 for j in range(n))
 
 

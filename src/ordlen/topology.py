@@ -47,11 +47,13 @@ def is_strongly_additive(m: SubquotientModule, k: MonomialIdeal) -> bool:
 
 def is_i_open(m: SubquotientModule, k: MonomialIdeal, i: int) -> bool:
     """True iff K/I has length equal to the degree->=i+1 part of len(J/I)."""
+    ord_._check_integers((i,), "topology index")
     return length(m.submodule(k)) == ord_.truncate_above(length(m), i)
 
 
 def is_open_in_ith_topology(m: SubquotientModule, k: MonomialIdeal, i: int) -> bool:
     """True iff the degree->=i+1 part of len(J/I) is weaker than len(K/I)."""
+    ord_._check_integers((i,), "topology index")
     return ord_.weaker(ord_.truncate_above(length(m), i), length(m.submodule(k)))
 
 
@@ -84,6 +86,7 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     Artin-Rees guarantees some power works but gives no effective bound;
     the cap converts non-termination risk into a reported error.
     """
+    ord_._check_integers((cap,), "power cap")
     if not r_mod.upper.is_unit:
         raise OrdlenError("e-open power search expects a quotient ring R/I")
     n_vars, low, power = r_mod.ambient_n, r_mod.lower.gens, r_mod.upper.gens  # a^0 = J = R

@@ -205,6 +205,12 @@ class TestValueContract:
             "is_unmixed=False, no_embedded_primes=False)"
         )
 
+    @pytest.mark.parametrize("i", [True, False, 0.5, 1.0], ids=["true", "false", "float", "integral_float"])
+    def test_non_integer_filtration_index_is_a_type_error(self, i):
+        # True was the index 1, and 0.5 reached islice's "Stop argument" ValueError
+        with pytest.raises(TypeError, match="filtration index is not an integer"):
+            dimension_filtration(M3, i)
+
     def test_round_trip(self, clone):
         inv = basic_invariants(M3)
         back = clone(inv)

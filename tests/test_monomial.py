@@ -22,6 +22,7 @@ from ordlen.monomial import (
     prime_ideal,
     saturation,
     unit_ideal,
+    variable,
     zero_ideal,
 )
 from ordlen.oracle import DEFAULT_PROFILE, InstanceProfile, random_chain
@@ -411,11 +412,27 @@ class TestValueContract:
         lambda: MonomialIdeal.make(2, [(1, 0), (0, False)]),
         lambda: MonomialIdeal(2, [(1, 0)]).contains((1.5, 0)),
         lambda: MonomialIdeal(2, [(1, 0)]).contains((True, 0)),
+        lambda: Monomial((2, 0)).times((True, 0)),
     ], ids=["monomial", "integral_float", "times", "constructor", "make", "_make", "_replace", "length",
-            "bool", "bool_constructor", "bool_make", "contains", "bool_contains"])
+            "bool", "bool_constructor", "bool_make", "contains", "bool_contains", "bool_times"])
     def test_non_integer_exponent_is_a_type_error(self, build):
         with pytest.raises(TypeError, match="exponent is not an integer"):
             build()
+
+    def test_times_rejects_a_negative_factor(self):
+        # (2, 0) * (-1, 0) would be the division (1, 0)
+        with pytest.raises(ValueError, match="negative exponent"):
+            Monomial((2, 0)).times((-1, 0))
+
+    @pytest.mark.parametrize("i", [2, 5, -1])
+    def test_variable_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match="variable index out of range"):
+            variable(2, i)
+
+    @pytest.mark.parametrize("i", [True, False, 0.5, 1.0], ids=["true", "false", "float", "integral_float"])
+    def test_non_integer_variable_index_is_a_type_error(self, i):
+        with pytest.raises(TypeError, match="variable index is not an integer"):
+            variable(2, i)
 
     def test_contains_rejects_a_negative_exponent(self):
         # the unit ideal holds every monomial, and (-1, 3) is none

@@ -202,6 +202,19 @@ class TestValueContract:
             "EOpenPower(n=2, ideal=MonomialIdeal(ambient_n=2, gens=((2, 0), (1, 1), (0, 2))))"
         )
 
+    @pytest.mark.parametrize("predicate", [is_i_open, is_open_in_ith_topology])
+    @pytest.mark.parametrize("i", [True, 0.5, -1.0], ids=["true", "float", "integral_float"])
+    def test_non_integer_topology_index_is_a_type_error(self, predicate, i):
+        # 0.5 was answered as 0, and True as 1
+        with pytest.raises(TypeError, match="topology index is not an integer"):
+            predicate(M2, M2.upper, i)
+
+    @pytest.mark.parametrize("cap", [True, 2.5, 2.0], ids=["true", "float", "integral_float"])
+    def test_non_integer_power_cap_is_a_type_error(self, cap):
+        # True searched up to the cap 1, and 2.5 reached range()'s TypeError
+        with pytest.raises(TypeError, match="power cap is not an integer"):
+            find_e_open_power(M2, cap=cap)
+
     def test_round_trip(self, clone):
         r = find_e_open_power(M2)
         back = clone(r)
