@@ -15,6 +15,12 @@ from .errors import AmbientMismatchError, NonEffectiveCycleError
 from .ordinal import Ordinal, Value, _check_integers, _ordinal
 
 
+def _check_ring_size(n: int) -> None:
+    _check_integers((n,), "number of variables")
+    if n < 0:
+        raise AmbientMismatchError("negative number of variables")
+
+
 class PrimeSupport(Value, namedtuple("PrimeSupport", "ambient_n vars key")):
     """The monomial prime (x_i : i in vars) of an n-variable polynomial ring;
     key, stored for sort_key(), follows from vars and is not an argument."""
@@ -23,8 +29,7 @@ class PrimeSupport(Value, namedtuple("PrimeSupport", "ambient_n vars key")):
 
     def __new__(cls, ambient_n: int, vars: Iterable[int]) -> PrimeSupport:
         vars = tuple(vars)  # checked before a frozenset can merge False into 0
-        if ambient_n < 0:
-            raise AmbientMismatchError("negative number of variables")
+        _check_ring_size(ambient_n)
         _check_integers(vars, "variable index")
         if any(v < 0 or v >= ambient_n for v in vars):
             raise ValueError("variable index out of range")
@@ -64,8 +69,7 @@ class Cycle(Value, namedtuple("Cycle", "ambient_n terms")):
 
     def __new__(cls, ambient_n: int, terms: Iterable[tuple[PrimeSupport, int]] = ()) -> Cycle:
         terms = tuple(terms)
-        if ambient_n < 0:
-            raise AmbientMismatchError("negative number of variables")
+        _check_ring_size(ambient_n)
         for k, (p, c) in enumerate(terms):
             if p.ambient_n != ambient_n:
                 raise AmbientMismatchError("cycle term in wrong ring")

@@ -11,7 +11,6 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
-from operator import mul
 
 from . import ordinal as ord_
 from .chow import Cycle, PrimeSupport, _cycle_of, _prime, binord, cycle_add, cycle_sub
@@ -27,9 +26,10 @@ from .monomial import (
     SubquotientModule,
     _divides,
     _ideal,
+    _intersect,
     _meet,
     _minimize,
-    _pairwise,
+    _saturate,
 )
 from .ordinal import Ordinal, Value, _ordinal
 
@@ -69,9 +69,9 @@ def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
     pairs of the top slice (k at or past every x_v exponent of I and J);
     pairs with x_v bound at degree k are the pairs of I_k lying in
     J_k : x_S^infinity that are not already covered by the top slice,
-    i.e. those of the module (J_k cap I_top)/I_k.  Slices only change at
-    generator exponents, so each run of equal slices is counted once and
-    weighted by its width.
+    i.e. those of the module (J_k cap I_top)/I_k, whose upper antichain is
+    _intersect(J_k, I_top).  Slices only change at generator exponents, so
+    each run of equal slices is counted once and weighted by its width.
 
     _slices sweeps the cuts, which hold every g_v, upwards.  The generators
     entering at cut k all have g_v = k, so none divides another or one
@@ -89,10 +89,7 @@ def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
     top = lows[-1]
     acc = dict(_cycle(n, top, ups[-1]).terms)
     for k, nxt, low, up in zip(cuts, cuts[1:], lows, ups):
-        # a generator of J_k inside I_top stands in for all of its lcms
-        inside = {f for f in up if _divides(top, f)}
-        lcms = [tuple(map(max, f, g)) for f in up if f not in inside for g in top]
-        for p, c in _cycle(n, low, _minimize(inside.union(lcms))).terms:
+        for p, c in _cycle(n, low, _intersect(up, top)).terms:
             q = _prime(n, p.vars | {v})
             acc[q] = acc.get(q, 0) + (nxt - k) * c
     return _cycle_of(n, tuple(sorted(acc.items(), key=lambda t: t[0].key)))
@@ -167,8 +164,8 @@ def _filtration(m: SubquotientModule) -> Iterator[MonomialIdeal]:
     for i in range(-1, max((p.dim for p in ass), default=-1)):
         for p in ass:
             if p.dim == i:
-                sat = _meet(([g[:v] + (0,) + g[v + 1 :] for g in sat] for v in p.vars), n)
-        yield m.lower if sat is m.lower.gens else _ideal(n, _pairwise(max, sat, m.upper.gens))
+                sat = _meet((_saturate(sat, n, (v,)) for v in p.vars), n)
+        yield m.lower if sat is m.lower.gens else _ideal(n, _intersect(sat, m.upper.gens))
     yield m.upper
 
 
@@ -223,8 +220,8 @@ def _pair_part(low: tuple, p: PrimeSupport, n: int) -> tuple:
     for S = vars - p.  y lies in C_p iff for each i in p some generator of I
     divides y on p - {i}: iff (y', S) is under a standard pair of I, for y'
     the part of y on p (see _cycle)."""
-    sets = [p.vars - {i} for i in p.vars]
-    return _meet(([tuple(e if j in b else 0 for j, e in enumerate(g)) for g in low] for b in sets), n)
+    s = set(range(n)) - p.vars
+    return _meet((_saturate(low, n, s | {i}) for i in p.vars), n)
 
 
 def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> MonomialIdeal:
@@ -260,10 +257,10 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
     n, low, up = m.ambient_n, m.lower.gens, m.upper.gens
     kg = list(low)
     for t, (exp, coeff) in enumerate(nu.terms):
-        parts = [(p, _pairwise(max, up, _pair_part(low, p, n)), [j in p.vars for j in range(n)])
+        parts = [(p, _intersect(up, _pair_part(low, p, n)), set(range(n)) - p.vars)
                  for p, _ in fc.terms if p.dim == exp]
         # B_p's generators, x_S set to 1: those of K at the first step, then each new x
-        bps = [[tuple(map(mul, g, mask)) for g in kg] for _, _, mask in parts]
+        bps = [_saturate(kg, n, s) for _, _, s in parts]
         for step in range(1, coeff + 1):
             found = []
             for (p, jc, _), bp in zip(parts, bps):
@@ -275,6 +272,6 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
             # x is outside B_p, which holds K: K gains x and loses the generators x divides
             x = min(found, key=Monomial.sort_key)
             kg = [g for g in kg if not _divides((x,), g)] + [x]
-            for (_, _, mask), bp in zip(parts, bps):
-                bp.append(tuple(map(mul, x, mask)))
+            for (_, _, s), bp in zip(parts, bps):
+                bp += _saturate((x,), n, s)
     return _ideal(n, _minimize(kg))

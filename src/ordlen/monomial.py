@@ -5,7 +5,7 @@ field-independent, so no coefficient arithmetic exists anywhere.  A
 monomial is the tuple of its exponents, with times as its only arithmetic,
 and an ideal's gens are its sorted minimal generating antichain of such
 tuples, which makes equality structural.  Every ideal operation is one
-_pairwise or _meet on those antichains.
+_pairwise, _intersect, _saturate or _meet on those antichains.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Collection, Iterable
 from functools import partial, reduce
-from operator import add, le, neg
+from operator import add, le, mul, neg
 
-from .chow import PrimeSupport
+from .chow import PrimeSupport, _check_ring_size, _prime
 from .errors import AmbientMismatchError, InvalidSubquotientError
 from .ordinal import Value, _check_integers
 
@@ -60,11 +60,8 @@ class Monomial(tuple):
 
 
 def variable(n: int, i: int) -> Monomial:
-    """The monomial x_i of k[x_0..x_{n-1}]."""
-    _check_integers((i,), "variable index")
-    if not 0 <= i < n:
-        raise ValueError("variable index out of range")
-    return Monomial(1 if j == i else 0 for j in range(n))
+    """The monomial x_i of k[x_0..x_{n-1}]; PrimeSupport checks n and i."""
+    return prime_ideal(PrimeSupport(n, (i,))).gens[0]
 
 
 def _divides(gens: Iterable[tuple[int, ...]], m: tuple[int, ...]) -> bool:
@@ -85,16 +82,26 @@ def _minimize(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 
 
 def _pairwise(op, f: Iterable[tuple], g: Collection[tuple]) -> tuple[tuple[int, ...], ...]:
-    """The minimal antichain of op(a, b) entrywise over a in f, b in g: for
-    the ideals they generate, the intersection (max) or the product (add).
-    With _meet it is every ideal operation, public and in the engine."""
+    """The minimal antichain of op(a, b) over a in f, b in g: the product's for op = add."""
     return _minimize(tuple(map(op, a, b)) for a in f for b in g)
+
+
+def _intersect(f: Iterable[tuple], g: Collection[tuple]) -> tuple[tuple[int, ...], ...]:
+    """The minimal antichain of (f) cap (g): an a in f that g divides stands in for its lcms."""
+    return _minimize(m for a in f
+                     for m in ([a] if _divides(g, a) else [tuple(map(max, a, b)) for b in g]))
+
+
+def _saturate(gens: Iterable[tuple], n: int, vars: Collection[int]) -> list[tuple[int, ...]]:
+    """Generators, not minimised, of (gens) : x_vars^infinity: the exponents on vars set to 0."""
+    keep = [j not in vars for j in range(n)]
+    return [tuple(map(mul, g, keep)) for g in gens]
 
 
 def _meet(antichains: Iterable[Iterable[tuple]], n: int) -> tuple[tuple[int, ...], ...]:
     """The minimal antichain of the intersection of the ideals the given
     antichains generate; the unit ideal's when there are none."""
-    return reduce(partial(_pairwise, max), map(_minimize, antichains), ((0,) * n,))
+    return reduce(_intersect, map(_minimize, antichains), ((0,) * n,))
 
 
 class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):
@@ -104,8 +111,7 @@ class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):
 
     def __new__(cls, ambient_n: int, gens: Iterable[Iterable[int]]) -> MonomialIdeal:
         exps = tuple(map(tuple, gens))
-        if ambient_n < 0:
-            raise AmbientMismatchError("negative number of variables")
+        _check_ring_size(ambient_n)
         if not {ambient_n}.issuperset(map(len, exps)):
             raise AmbientMismatchError("generator in wrong ring")
         return _ideal(ambient_n, _minimize(map(Monomial, exps)))  # Monomial checks the signs
@@ -147,16 +153,19 @@ def zero_ideal(n: int) -> MonomialIdeal:
 
 
 def unit_ideal(n: int) -> MonomialIdeal:
-    return MonomialIdeal(n, (Monomial((0,) * n),))
+    _check_ring_size(n)
+    return _ideal(n, ((0,) * n,))
 
 
 def prime_ideal(p: PrimeSupport) -> MonomialIdeal:
     """The monomial prime (x_i : i in p.vars) as an ideal."""
-    return MonomialIdeal.make(p.ambient_n, [variable(p.ambient_n, i) for i in sorted(p.vars)])
+    n = p.ambient_n
+    return _ideal(n, (tuple(int(j == i) for j in range(n)) for i in sorted(p.vars)))
 
 
 def maximal_ideal(n: int) -> MonomialIdeal:
-    return MonomialIdeal.make(n, [variable(n, i) for i in range(n)])
+    _check_ring_size(n)
+    return prime_ideal(_prime(n, frozenset(range(n))))
 
 
 def _check_ring(i: MonomialIdeal, j: MonomialIdeal) -> None:
@@ -171,7 +180,7 @@ def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ring(i, j)
-    return _ideal(i.ambient_n, _pairwise(max, i.gens, j.gens))
+    return _ideal(i.ambient_n, _intersect(i.gens, j.gens))
 
 
 def ideal_product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -202,7 +211,7 @@ def saturation(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     generators g of j, each being i with the exponents on supp(g) set to 0;
     the saturation by the zero ideal is the unit ideal."""
     _check_ring(i, j)
-    steps = ([tuple(0 if e else a for a, e in zip(f, g)) for f in i.gens] for g in j.gens)
+    steps = (_saturate(i.gens, i.ambient_n, g.support) for g in j.gens)
     return _ideal(i.ambient_n, _meet(steps, i.ambient_n))
 
 

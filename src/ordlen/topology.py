@@ -26,6 +26,7 @@ from .monomial import (
     _meet,
     _minimize,
     ideal_sum,
+    prime_ideal,
 )
 
 DEFAULT_POWER_CAP = 32
@@ -87,12 +88,13 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     the cap converts non-termination risk into a reported error.
     """
     ord_._check_integers((cap,), "power cap")
+    if cap < 1:
+        raise ValueError("power cap must be >= 1")
     if not r_mod.upper.is_unit:
         raise OrdlenError("e-open power search expects a quotient ring R/I")
     n_vars, low, power = r_mod.ambient_n, r_mod.lower.gens, r_mod.upper.gens  # a^0 = J = R
     e = basic_invariants(r_mod).order  # ZeroModuleError for the zero module
-    eye = [tuple(int(i == v) for i in range(n_vars)) for v in range(n_vars)]
-    a = _meet(([eye[v] for v in p.vars] for p in associated_primes(r_mod) if p.dim == e), n_vars)
+    a = _meet((prime_ideal(p).gens for p in associated_primes(r_mod) if p.dim == e), n_vars)
     sat = dimension_filtration(r_mod, e).upper.gens
     for n in range(1, cap + 1):
         power = _power_outside(power, a, low)

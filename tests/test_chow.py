@@ -257,8 +257,13 @@ class TestValueContract:
         (lambda: Cycle.from_terms(2, {prime(2, [0]): 1.5}), "cycle weight"),
         (lambda: Cycle.from_terms(2, [(prime(2, [0]), 1), (prime(2, [0]), True)]), "cycle weight"),
         (lambda: zero_cycle(N)._replace(terms=((PX, "2"),)), "cycle weight"),
+        (lambda: PrimeSupport(2.5, [0]), "number of variables"),
+        (lambda: PrimeSupport(True, [0]), "number of variables"),
+        (lambda: Cycle(2.5), "number of variables"),
+        (lambda: zero_cycle(1.5), "number of variables"),
     ], ids=["float_index", "bool_index", "str_index", "bool_beside_its_int", "replace_index",
-            "float_weight", "bool_weight", "from_terms_float", "from_terms_bool", "replace_weight"])
+            "float_weight", "bool_weight", "from_terms_float", "from_terms_bool", "replace_weight",
+            "float_prime_ring", "bool_prime_ring", "float_cycle_ring", "float_zero_cycle_ring"])
     def test_non_integer_is_a_type_error(self, build, what):
         with pytest.raises(TypeError, match=what + " is not an integer"):
             build()

@@ -796,5 +796,11 @@ def fixed_degree(n, g, d):
 
 
 def test_length_of_a_wide_ideal():
-    m = SubquotientModule.quotient_ring(fixed_degree(6, 80, 10))
-    assert length(m) == Ordinal.from_coeffs({4: 1, 3: 76, 2: 264, 1: 422, 0: 210})
+    # the slice recursion's J_k cap I_top step (_intersect) on wide ideals; (8, 120, 12) takes 0.5 s
+    for shape, coeffs in [
+        ((6, 80, 10), {4: 1, 3: 76, 2: 264, 1: 422, 0: 210}),
+        ((8, 60, 10), {6: 1, 5: 76, 4: 326, 3: 403, 2: 278, 1: 158, 0: 11}),
+        ((8, 120, 12), {6: 1, 5: 73, 4: 537, 3: 1174, 2: 2034, 1: 1357, 0: 505}),
+    ]:
+        m = SubquotientModule.quotient_ring(fixed_degree(*shape))
+        assert length(m) == Ordinal.from_coeffs(coeffs), shape

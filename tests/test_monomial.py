@@ -13,6 +13,9 @@ from ordlen.monomial import (
     MonomialIdeal,
     SubquotientModule,
     _divides,
+    _intersect,
+    _pairwise,
+    _saturate,
     colon,
     ideal_intersection,
     ideal_power,
@@ -41,6 +44,9 @@ def monomials_up_to(n, degree):
 
 monomial_pairs = st.integers(1, 4).flatmap(
     lambda n: st.tuples(*[st.tuples(*[st.integers(0, 5)] * n)] * 2)
+)
+tuple_list_pairs = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), *[st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6)] * 2)
 )
 generator_sets = st.integers(1, 3).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=8))
@@ -78,6 +84,27 @@ class TestAgainstDefinitions:
         m = tuple(point[:n])
         assert _divides(gens, m) == any(all(a <= b for a, b in zip(g, m)) for g in gens)
         assert not _divides([], m)
+
+    @given(tuple_list_pairs, st.booleans(), st.booleans(), st.booleans())
+    def test_intersect_is_the_minimised_lcms(self, case, unit_f, unit_g, multiples):
+        # any tuple lists: not antichains, empty, holding the unit, and with members
+        # of f that g divides, the ones _intersect keeps without their lcms
+        n, f, g = case
+        f = f + [(0,) * n] * unit_f + [tuple(e + 1 for e in b) for b in g] * multiples
+        g = g + [(0,) * n] * unit_g
+        assert _intersect(f, g) == _pairwise(max, f, g) == _intersect(g, f)
+
+    @given(generator_sets, st.sets(st.integers(0, 2)))
+    def test_saturate_is_the_colon_by_a_high_power(self, case, vars):
+        # y lies in (gens) : x_vars^infinity iff y * x_vars^N is in (gens), N past every exponent
+        n, gens = case
+        vars = {v for v in vars if v < n}
+        big = 1 + max((max(g) for g in gens), default=0)
+        sat = _saturate(gens, n, vars)
+        assert len(sat) == len(gens)
+        for y in monomials_up_to(n, 5):
+            high = tuple(e + big if j in vars else e for j, e in enumerate(y))
+            assert _divides(sat, y) == _divides(gens, high)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -460,6 +487,22 @@ class TestOneConstructor:
         with pytest.raises(AmbientMismatchError):
             MonomialIdeal.make(2, [(1, 0), (1,)])
 
+    @pytest.mark.parametrize("build", [
+        lambda: MonomialIdeal(True, [(1,)]),
+        lambda: MonomialIdeal(2.5, []),
+        lambda: MonomialIdeal.make(2.0, [(1, 0)]),
+        lambda: zero_ideal(True),
+        lambda: unit_ideal(2.5),
+        lambda: maximal_ideal(2.5),
+        lambda: variable(True, 0),
+        lambda: variable(2.5, 0),
+    ], ids=["bool_constructor", "float_constructor", "integral_float_make", "zero_ideal",
+            "unit_ideal", "maximal_ideal", "bool_variable", "float_variable"])
+    def test_non_integer_ring_size_is_a_type_error(self, build):
+        # the first four constructed, and the last four gave (1,) or leaked bare TypeErrors
+        with pytest.raises(TypeError, match="number of variables is not an integer"):
+            build()
+
     def test_public_constructors_check_the_ring_size(self):
         # the engine wraps its own antichains unchecked; outside input is always checked
         with pytest.raises(AmbientMismatchError):
@@ -472,7 +515,8 @@ class TestOneConstructor:
         lambda: MonomialIdeal.make(-1, [()]),
         lambda: MonomialIdeal._make((-1, ())),
         lambda: zero_ideal(2)._replace(ambient_n=-2),
-    ], ids=["zero_ideal", "maximal_ideal", "constructor", "make", "_make", "_replace"])
+        lambda: variable(-1, 0),
+    ], ids=["zero_ideal", "maximal_ideal", "constructor", "make", "_make", "_replace", "variable"])
     def test_negative_ring_size_is_an_ambient_mismatch(self, build):
         with pytest.raises(AmbientMismatchError, match="negative number of variables"):
             build()

@@ -215,6 +215,12 @@ class TestValueContract:
         with pytest.raises(TypeError, match="power cap is not an integer"):
             find_e_open_power(M2, cap=cap)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_power_cap_below_one_is_a_value_error(self, cap):
+        # both searched nothing and raised ResourceCapError
+        with pytest.raises(ValueError, match="power cap must be >= 1"):
+            find_e_open_power(M2, cap=cap)
+
     def test_round_trip(self, clone):
         r = find_e_open_power(M2)
         back = clone(r)
