@@ -247,7 +247,9 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
     ((K : p) cap J cap C_p) - B_p, p over the associated primes of
     dimension e.  B_p is closed under multiples, so the least of them is a
     generator of (K : p) cap J cap C_p, one of _socle's; B_p holds K, so the
-    B_p test also drops _socle's members in K.
+    B_p test also drops _socle's members in K.  No exponent of K passes the
+    degree bound, as none of I's does and sum(x) <= bound for each adjoined x,
+    so x is in B_p iff lcm(x, x_S^bound) is in K.
     """
     fc = fundamental_cycle(m)
     mu = binord(fc)
@@ -257,21 +259,18 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
     n, low, up = m.ambient_n, m.lower.gens, m.upper.gens
     kg = list(low)
     for t, (exp, coeff) in enumerate(nu.terms):
-        parts = [(p, _intersect(up, _pair_part(low, p, n)), set(range(n)) - p.vars)
+        parts = [(p, _intersect(up, _pair_part(low, p, n)),
+                  tuple(0 if v in p.vars else bound for v in range(n)))
                  for p, _ in fc.terms if p.dim == exp]
-        # B_p's generators, x_S set to 1: those of K at the first step, then each new x
-        bps = [_saturate(kg, n, s) for _, _, s in parts]
         for step in range(1, coeff + 1):
             found = []
-            for (p, jc, _), bp in zip(parts, bps):
+            for p, jc, top in parts:
                 found += islice((x for x in _socle(kg, jc, p) if sum(x) <= bound
-                                 and not _divides(bp, x)), 1)
+                                 and not _divides(kg, tuple(map(max, x, top)))), 1)
             if not found:
                 msg = "no monomial submodule of length %s found within degree %d (module %r)"
                 raise SubmoduleSearchError(msg % (_ordinal(nu.terms[:t] + ((exp, step),)), bound, m))
             # x is outside B_p, which holds K: K gains x and loses the generators x divides
             x = min(found, key=Monomial.sort_key)
             kg = [g for g in kg if not _divides((x,), g)] + [x]
-            for (_, _, s), bp in zip(parts, bps):
-                bp += _saturate((x,), n, s)
     return _ideal(n, _minimize(kg))

@@ -5,7 +5,7 @@ field-independent, so no coefficient arithmetic exists anywhere.  A
 monomial is the tuple of its exponents, with times as its only arithmetic,
 and an ideal's gens are its sorted minimal generating antichain of such
 tuples, which makes equality structural.  Every ideal operation is one
-_pairwise, _intersect, _saturate or _meet on those antichains.
+_product, _intersect, _saturate or _meet on those antichains.
 """
 
 from __future__ import annotations
@@ -81,9 +81,12 @@ def _minimize(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
-def _pairwise(op, f: Iterable[tuple], g: Collection[tuple]) -> tuple[tuple[int, ...], ...]:
-    """The minimal antichain of op(a, b) over a in f, b in g: the product's for op = add."""
-    return _minimize(tuple(map(op, a, b)) for a in f for b in g)
+def _product(f: Iterable[tuple], g: Collection[tuple],
+             low: Collection[tuple]) -> tuple[tuple[int, ...], ...]:
+    """The minimal antichain of the products a*b, a in f and b in g, outside (low),
+    minimised after the products in (low) are dropped: none outside has a divisor in it."""
+    products = (tuple(map(add, a, b)) for a in f for b in g)
+    return _minimize(m for m in products if not _divides(low, m))
 
 
 def _intersect(f: Iterable[tuple], g: Collection[tuple]) -> tuple[tuple[int, ...], ...]:
@@ -185,7 +188,7 @@ def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     _check_ring(i, j)
-    return _ideal(i.ambient_n, _pairwise(add, i.gens, j.gens))
+    return _ideal(i.ambient_n, _product(i.gens, j.gens, ()))
 
 
 def ideal_power(i: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -8,7 +8,6 @@ manipulated.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add
 
 from . import ordinal as ord_
 from .errors import AmbientMismatchError, OrdlenError, ResourceCapError, ZeroModuleError
@@ -25,6 +24,7 @@ from .monomial import (
     _ideal,
     _meet,
     _minimize,
+    _product,
     ideal_sum,
     prime_ideal,
 )
@@ -64,13 +64,6 @@ def closure(m: SubquotientModule, k: MonomialIdeal) -> MonomialIdeal:
     return ideal_sum(k, dimension_filtration(m, 0).upper)
 
 
-def _power_outside(power: tuple, a: tuple, low: tuple) -> tuple:
-    """The generators of power * a + I outside I = (low), minimised after the products
-    in I are dropped: no product outside I has a divisor in I."""
-    products = (tuple(map(add, g, h)) for g in power for h in a)
-    return _minimize(f for f in products if not _divides(low, f))
-
-
 class EOpenPower(ord_.Value, namedtuple("EOpenPower", "n ideal")):
     __slots__ = ()
 
@@ -97,7 +90,7 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     a = _meet((prime_ideal(p).gens for p in associated_primes(r_mod) if p.dim == e), n_vars)
     sat = dimension_filtration(r_mod, e).upper.gens
     for n in range(1, cap + 1):
-        power = _power_outside(power, a, low)
+        power = _product(power, a, low)
         if all(_divides(low, tuple(map(max, f, h))) for f in power for h in sat):
             return EOpenPower(n, _ideal(n_vars, _minimize([*power, *low])))
     raise ResourceCapError("no e-open power of the ideal found up to the cap %d" % cap)

@@ -366,6 +366,17 @@ class TestConstructSubmodule:
         assert k == MonomialIdeal.make(4, cube.lower.gens + ((2, 2, 2, 2),))
         assert construct_submodule_of_length(cube, length(cube)) == unit_ideal(4)
 
+    def test_b_p_test_reaches_the_exponents_of_k(self):
+        # (x^10, z^14)/(x^10 y, x y z^14) at 2ω^2: once K gains x^10, the prime
+        # (y)'s socle member x z^14 lies in B_p = K : (xz)^∞ and comes before the
+        # witness y z^14 of (x) in degree-lex order; lcm(x z^14, (xz)^b) is in K
+        # only for b >= 10, so the B_p test must reach K's exponents
+        m = SubquotientModule(ideal(3, (10, 1, 0), (1, 1, 14)), ideal(3, (10, 0, 0), (0, 0, 14)))
+        nu = Ordinal.from_coeffs({2: 2})
+        k = construct_submodule_of_length(m, nu)
+        assert k == ideal(3, (10, 0, 0), (0, 1, 14))
+        assert length(m.submodule(k)) == nu
+
     def test_rejects_non_weaker_target(self):
         with pytest.raises(InvalidSubquotientError):
             construct_submodule_of_length(M3, Ordinal.omega_power(3))
@@ -553,6 +564,28 @@ def test_b_p_test_rejects_the_socle_members_in_k(monkeypatch, golden_profiles):
     assert len(in_k) > 100
     for kg, p, x in in_k:
         assert any(all(g[j] <= x[j] for j in p.vars) for g in kg), (kg, p, x)
+
+
+def test_search_scans_are_linear_in_its_steps(monkeypatch):
+    # the B_p test reads K, an antichain, so each of the 800 steps on
+    # R/(x^400, y^2) scans a few generators; a list of every x adjoined so far,
+    # never minimised, made the scans quadratic in the steps
+    m = ring_mod(2, (400, 0), (0, 2))
+    mu = length(m)
+    assert mu == Ordinal.from_int(800)
+    divides, scanned = invariants._divides, []
+
+    def counted(gens, x):
+        # the generators scanned, up to and including the first divisor of x
+        for g in gens:
+            scanned.append(g)
+            if divides((g,), x):
+                return True
+        return False
+
+    monkeypatch.setattr(invariants, "_divides", counted)
+    assert construct_submodule_of_length(m, mu) == unit_ideal(2)
+    assert len(scanned) <= 8 * 800
 
 
 pair_part_cases = st.integers(1, 4).flatmap(

@@ -14,7 +14,7 @@ from ordlen.monomial import (
     SubquotientModule,
     _divides,
     _intersect,
-    _pairwise,
+    _minimize,
     _saturate,
     colon,
     ideal_intersection,
@@ -92,7 +92,8 @@ class TestAgainstDefinitions:
         n, f, g = case
         f = f + [(0,) * n] * unit_f + [tuple(e + 1 for e in b) for b in g] * multiples
         g = g + [(0,) * n] * unit_g
-        assert _intersect(f, g) == _pairwise(max, f, g) == _intersect(g, f)
+        lcms = _minimize(tuple(map(max, a, b)) for a in f for b in g)
+        assert _intersect(f, g) == lcms == _intersect(g, f)
 
     @given(generator_sets, st.sets(st.integers(0, 2)))
     def test_saturate_is_the_colon_by_a_high_power(self, case, vars):

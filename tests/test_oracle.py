@@ -198,7 +198,7 @@ def test_oracles_reach_no_ideal_kernel(monkeypatch):
         raise AssertionError("an oracle reached an ideal kernel of the engine")
 
     monkeypatch.setattr(MonomialIdeal, "make", classmethod(unreachable))
-    for name in ("_minimize", "_ideal", "_pairwise", "_intersect", "_saturate", "_meet"):
+    for name in ("_minimize", "_ideal", "_product", "_intersect", "_saturate", "_meet"):
         monkeypatch.setattr(monomial, name, unreachable)
     for namespace in (monomial, oracle):
         for name in ("saturation", "ideal_intersection", "colon", "ideal_product"):

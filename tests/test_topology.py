@@ -36,7 +36,8 @@ from ordlen.monomial import (
     MonomialIdeal,
     SubquotientModule,
     _meet,
-    _pairwise,
+    _minimize,
+    _product,
     ideal_sum,
     maximal_ideal,
     prime_ideal,
@@ -59,7 +60,6 @@ from ordlen.ordinal import (
 from ordlen.topology import (
     DEFAULT_POWER_CAP,
     EOpenPower,
-    _power_outside,
     closure,
     find_e_open_power,
     hom_vanishes,
@@ -293,8 +293,9 @@ def test_power_step_matches_minimise_then_filter(chain_corpus):
                    for p in associated_primes(r_mod) if p.dim == e), n)
         power = r_mod.upper.gens
         for _ in range(6):
-            want = tuple(f for f in _pairwise(add, power, a) if not any(all(map(le, g, f)) for g in low))
-            power = _power_outside(power, a, low)
+            every = _minimize(tuple(map(add, g, h)) for g in power for h in a)
+            want = tuple(f for f in every if not any(all(map(le, g, f)) for g in low))
+            power = _product(power, a, low)
             assert power == want
             steps += bool(power)
     assert steps > 500
