@@ -33,7 +33,7 @@ from . import invariants, topology
 from .chow import PrimeSupport
 from .errors import OrdlenError, ResourceCapError, TooManyVariablesError
 from .monomial import MonomialIdeal, SubquotientModule, unit_ideal
-from .ordinal import Ordinal, truncate_above
+from .ordinal import Ordinal, _check_integers, truncate_above
 
 
 class ParseError(OrdlenError):
@@ -334,6 +334,9 @@ class Runner:
         self, as_json: bool = False, ascii_only: bool = False, out=None,
         max_vars: int = DEFAULT_MAX_VARS,
     ):
+        _check_integers((max_vars,), "variable cap")
+        if max_vars < 1:
+            raise ValueError("variable cap below 1")
         self.as_json = as_json
         self.ascii_only = ascii_only
         self.max_vars = max_vars
@@ -472,12 +475,12 @@ def run_text(
 ) -> int:
     """Parse and execute a script; returns the process exit code."""
     err = err if err is not None else sys.stderr
+    runner = Runner(as_json=as_json, ascii_only=ascii_only, out=out, max_vars=max_vars)
     try:
         script = parse(text)
     except ParseError as exc:
         err.write("%s\n" % exc)
         return 1
-    runner = Runner(as_json=as_json, ascii_only=ascii_only, out=out, max_vars=max_vars)
     try:
         runner.run(script)
     except ResourceCapError as exc:
@@ -535,6 +538,8 @@ def main(argv: list[str] | None = None) -> int:
     p_eval.add_argument("--ordinal", default=None, help="target ordinal for submodlen")
 
     args = parser.parse_args(argv)
+    if args.max_vars < 1:
+        parser.error("--max-vars must be at least 1")
     if args.mode == "run":
         try:
             with open(args.script, encoding="utf-8") as handle:

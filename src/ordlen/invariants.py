@@ -11,6 +11,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
+from math import prod
 
 from . import ordinal as ord_
 from .chow import Cycle, PrimeSupport, _cycle_of, _prime, binord, cycle_add, cycle_sub
@@ -49,8 +50,8 @@ def _slices(gens: tuple, v: int, cuts: list[int]) -> list[tuple]:
     return out
 
 
-# No benchmark pass stores over 1,919 entries, but one len of fixed-degree (10, 200, 12)
-# makes 20,538: ru_maxrss grows by 51.6 MB unbounded, by 13.5 MB at this bound.
+# No benchmark pass stores over 1,914 entries, but one len of fixed-degree (10, 200, 12)
+# makes 20,538: ru_maxrss grows by 50.4 MB unbounded, by 11.6 MB at this bound.
 _CYCLE_MEMO = 4096
 
 
@@ -77,12 +78,18 @@ def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
     entering at cut k all have g_v = k, so none divides another or one
     already in, or one generator of I would divide another.  A cut only
     drops the old generators that a new one divides: no full minimisation.
+
+    Base cases: J inside I (no pairs), I = 0 (one pair), and J = (1) with
+    I = (x_i^a_i : i in S), one box of prod a_i pairs at (x_i : i in S).
     """
     if all(_divides(lower, h) for h in upper):
         return _cycle_of(n, ())
     if not lower:
         # the single standard pair (1, vars) of the zero ideal
         return _cycle_of(n, ((_prime(n, frozenset()), 1),))
+    if upper == ((0,) * n,) and all(g.count(0) == n - 1 for g in lower):
+        s = frozenset(i for g in lower for i, e in enumerate(g) if e)
+        return _cycle_of(n, ((_prime(n, s), prod(map(sum, lower))),))
     v = max(j for g in lower for j, e in enumerate(g) if e)
     cuts = sorted({0} | {g[v] for g in lower + upper})
     lows, ups = _slices(lower, v, cuts), _slices(upper, v, cuts)

@@ -78,6 +78,7 @@ class Ordinal(Value, namedtuple("Ordinal", "terms")):
         return cls.from_coeffs({0: n})
 
     def coeff(self, exp: int) -> int:
+        _check_integers((exp,), "Cantor exponent")
         for e, c in self.terms:
             if e == exp:
                 return c

@@ -658,6 +658,24 @@ class TestMain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("cap", [True, 2.5, "3", None], ids=["bool", "float", "str", "none"])
+    def test_non_integer_cap_is_a_type_error(self, cap):
+        with pytest.raises(TypeError, match="variable cap is not an integer"):
+            run("ring x\nI = x\nlen I\n", max_vars=cap)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_a_value_error(self, cap):
+        with pytest.raises(ValueError, match="variable cap below 1"):
+            run("ring x\nI = x\nlen I\n", max_vars=cap)
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_max_vars_below_one_is_a_usage_error(self, cap, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--max-vars", cap, "--ring", "x", "--ideal", "x", "--cmd", "len"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--max-vars must be at least 1" in err
+
 
 class TestProcess:
     """`python -m ordlen.cli` started as a process of its own."""

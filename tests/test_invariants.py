@@ -52,6 +52,7 @@ from ordlen.oracle import (
     STRESS_PROFILE,
     InstanceProfile,
     oracle_artinian_length,
+    oracle_lcl,
     random_chain,
 )
 from ordlen.ordinal import ZERO, Ordinal, OrdinalClass, shuffle_sum, truncate_below, weaker
@@ -837,3 +838,44 @@ def test_length_of_a_wide_ideal():
     ]:
         m = SubquotientModule.quotient_ring(fixed_degree(*shape))
         assert length(m) == Ordinal.from_coeffs(coeffs), shape
+
+
+pure_power_cases = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.one_of(st.none(), st.integers(1, 5)), min_size=n, max_size=n)
+)
+
+
+@given(pure_power_cases)
+@example([None, None])  # R/0
+@example([3, 4, None])  # (x^3, y^4) in k[x,y,z]: a box of 12 at (x,y)
+def test_pure_power_cycle_is_the_oracle(exps):
+    # I = (x_i^a_i, i in S), the variables off S free: one box of prod a_i
+    # standard pairs at (x_i : i in S), checked at every prime
+    n = len(exps)
+    gens = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(exps) if a]
+    m = ring_mod(n, *gens)
+    invariants._cycle.cache_clear()
+    fc = fundamental_cycle(m)
+    for k in range(n + 1):
+        for vs in itertools.combinations(range(n), k):
+            p = prime(n, vs)
+            assert fc.coeff(p) == oracle_lcl(m, p), (exps, vs)
+
+
+def test_pure_powers_are_not_sliced(monkeypatch):
+    # a pure-power ideal with J = (1) is one box of standard pairs, counted
+    # without slicing; in a structured row only the slices of x_1...x_7 remain
+    slices, calls = invariants._slices, []
+
+    def counted(gens, v, cuts):
+        calls.append(v)
+        return slices(gens, v, cuts)
+
+    monkeypatch.setattr(invariants, "_slices", counted)
+    invariants._cycle.cache_clear()
+    assert length(ring_mod(3, (5, 0, 0), (0, 6, 0), (0, 0, 7))) == Ordinal.from_int(210)
+    assert calls == []
+    invariants._cycle.cache_clear()
+    row = [tuple(2 if j == i else 0 for j in range(7)) for i in range(7)]
+    assert length(ring_mod(7, *row, (1,) * 7)) == Ordinal.from_int(2**7 - 1)
+    assert len(calls) <= 12

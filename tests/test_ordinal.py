@@ -312,6 +312,13 @@ class TestValueContract:
             with pytest.raises(TypeError, match="Cantor exponent or coefficient is not an integer"):
                 build(terms)
 
+    @pytest.mark.parametrize("exp", [False, True, 0.0, 1.0, "0"],
+                             ids=["false", "true", "float", "integral_float", "str"])
+    def test_non_integer_coeff_exponent_is_a_type_error(self, exp):
+        for a in (Ordinal.from_int(2), W):
+            with pytest.raises(TypeError, match="Cantor exponent is not an integer"):
+                a.coeff(exp)
+
     def test_every_library_value_type_is_a_value(self):
         value_types = {
             Ordinal, OrdinalClass, PrimeSupport, Cycle, MonomialIdeal,
