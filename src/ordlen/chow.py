@@ -90,6 +90,8 @@ class Cycle(Value, namedtuple("Cycle", "ambient_n terms")):
         return cls(ambient_n, canon)
 
     def coeff(self, p: PrimeSupport) -> int:
+        if p.ambient_n != self.ambient_n:
+            raise AmbientMismatchError("prime over a different ring")
         return dict(self.terms).get(p, 0)
 
     @property

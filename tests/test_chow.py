@@ -13,7 +13,8 @@ from ordlen.chow import (
     zero_cycle,
 )
 from ordlen.errors import AmbientMismatchError, NonEffectiveCycleError
-from ordlen.monomial import zero_ideal
+from ordlen.invariants import fundamental_cycle
+from ordlen.monomial import MonomialIdeal, SubquotientModule, zero_ideal
 from ordlen.ordinal import (
     Ordinal,
     cantor_sum,
@@ -97,6 +98,20 @@ def test_ambient_mismatch_rejected():
         cycle_leq(zero_cycle(2), zero_cycle(3))
     with pytest.raises(AmbientMismatchError):
         Cycle.from_terms(2, {PX: 1})
+
+
+@pytest.mark.parametrize(
+    "cycle",
+    [
+        zero_cycle(2),
+        Cycle.from_terms(2, {prime(2, [0]): 1}),
+        fundamental_cycle(SubquotientModule.quotient_ring(MonomialIdeal.make(2, [(2, 0), (1, 1)]))),
+    ],
+)
+def test_coeff_rejects_a_prime_over_another_ring(cycle):
+    # PX lives in 3 variables; its index 0 is a variable of the 2-variable ring too
+    with pytest.raises(AmbientMismatchError, match="prime over a different ring"):
+        cycle.coeff(PX)
 
 
 class TestBinord:

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ordlen import monomial, oracle
+from ordlen import invariants, monomial, oracle
 from ordlen.chow import PrimeSupport, prime
 from ordlen.errors import NotArtinianError
-from ordlen.invariants import basic_invariants, length, local_multiplicity
+from ordlen.invariants import basic_invariants, fundamental_cycle, length, local_multiplicity
 from ordlen.monomial import (
     Monomial,
     MonomialIdeal,
@@ -146,22 +146,23 @@ modules = st.integers(1, 4).flatmap(
 )
 
 
+def subquotient(n, low, extra, powers, ring):
+    """The module J/I of one draw of modules."""
+    pure = [tuple(a if j == v else 0 for j in range(n)) for v, a in enumerate(powers) if a]
+    lower = MonomialIdeal.make(n, low + pure)
+    upper = unit_ideal(n) if ring else ideal_sum(lower, MonomialIdeal.make(n, extra))
+    return SubquotientModule(lower, upper)
+
+
 class TestAgainstSaturations:
     """Both oracles against the same counts made through saturation and prime_ideal."""
-
-    @staticmethod
-    def module(n, low, extra, powers, ring):
-        pure = [tuple(a if j == v else 0 for j in range(n)) for v, a in enumerate(powers) if a]
-        lower = MonomialIdeal.make(n, low + pure)
-        upper = unit_ideal(n) if ring else ideal_sum(lower, MonomialIdeal.make(n, extra))
-        return SubquotientModule(lower, upper)
 
     @given(modules)
     @example((3, [(2, 0, 0), (1, 1, 0)], [(1, 0, 0)], (0, 0, 0), False))
     @example((2, [(2, 0), (0, 3)], [(0, 1)], (0, 0), False))
     @example((2, [], [(1, 1)], (0, 0), False))
     def test_lcl(self, spec):
-        m = self.module(*spec)
+        m = subquotient(*spec)
         for p in all_primes(m.ambient_n):
             assert oracle_lcl(m, p) == saturation_lcl(m, p)
 
@@ -170,8 +171,25 @@ class TestAgainstSaturations:
     @example((2, [(2, 0), (1, 1)], [], (0, 0), True))
     @example((2, [], [], (0, 0), False))
     def test_artinian_length(self, spec):
-        m = self.module(*spec)
+        m = subquotient(*spec)
         assert outcome(oracle_artinian_length, m) == outcome(saturation_artinian_length, m)
+
+
+@given(modules)
+# z^3 in I makes the top slice in z the unit ideal while J != (1)
+@example((3, [(2, 0, 1), (0, 1, 2)], [(1, 0, 0), (0, 0, 1)], (0, 0, 3), False))
+# J = (1), and the top slice in y is the unit ideal
+@example((2, [(1, 1)], [], (3, 2), True))
+# J = (1), and the top slice in y is (x^2)
+@example((2, [(2, 1)], [], (3, 0), True))
+def test_engine_cycle_is_the_oracle(spec):
+    # the slice recursion, memo cleared, against the box oracle at every
+    # prime, on draws that reach its shortcuts: pure powers in I, J = (1)
+    m = subquotient(*spec)
+    invariants._cycle.cache_clear()
+    fc = fundamental_cycle(m)
+    for p in all_primes(m.ambient_n):
+        assert fc.coeff(p) == oracle_lcl(m, p), p
 
 
 def test_oracles_reach_no_ideal_kernel(monkeypatch):
