@@ -118,8 +118,6 @@ class Name(str):
     def __getnewargs__(self) -> tuple[str, int, int]:
         return str(self), self.line, self.col
 
-    text = property(str.__str__)
-
 
 # plain named tuples without the Value guard: no caller compares nodes of different kinds
 RingDecl = namedtuple("RingDecl", "names")
@@ -127,8 +125,8 @@ RingDecl = namedtuple("RingDecl", "names")
 # zero ideal is the empty tuple, the unit literal a monomial of no factors
 IdealExpr = namedtuple("IdealExpr", "monomials")
 Binding = namedtuple("Binding", "name ideal")
-Command = namedtuple("Command", "kind refs index ordinal", defaults=(None, None))
-Script = namedtuple("Script", "statements", defaults=((),))
+Command = namedtuple("Command", "kind refs index ordinal")
+Script = namedtuple("Script", "statements")
 
 
 class Ref(namedtuple("Ref", "lower upper")):
@@ -137,8 +135,8 @@ class Ref(namedtuple("Ref", "lower upper")):
 
     def display(self) -> str:
         if self.upper is None:
-            return "R/%s" % self.lower.text
-        return "%s/%s" % (self.upper.text, self.lower.text)
+            return "R/%s" % self.lower
+        return "%s/%s" % (self.upper, self.lower)
 
 
 # ---------------------------------------------------------------- parser
@@ -147,34 +145,30 @@ class Ref(namedtuple("Ref", "lower upper")):
 class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
-        # a second EOF, so that peek(1) never runs off the end
-        self.tokens.append(self.tokens[-1])
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
-
     def error(self, message: str) -> ParseError:
-        kind, value, line, col = self.peek()
+        kind, value, line, col = self.tokens[self.pos]
         shown = value if kind != "EOF" else "end of input"
         return ParseError("%s (found %r)" % (message, shown), line, col)
 
-    def accept(self, sym: str) -> bool:
-        """Consume the symbol sym if it comes next."""
-        if self.peek()[:2] == ("SYM", sym):
+    def accept(self, word: str) -> bool:
+        """Consume the fixed word if it comes next: the lexer gives each of
+        ,=^*/+- 0 1 ring w one kind, so its value alone tells it."""
+        if self.tokens[self.pos][1] == word:
             self.pos += 1
             return True
         return False
 
     def expect_ident(self, what: str = "identifier") -> Name:
-        kind, value, line, col = self.peek()
+        kind, value, line, col = self.tokens[self.pos]
         if kind != "IDENT":
             raise self.error("expected %s" % what)
         self.pos += 1
         return Name(value, line, col)
 
     def expect_int(self) -> int:
-        kind, value, line, col = self.peek()
+        kind, value, line, col = self.tokens[self.pos]
         if kind != "INT":
             raise self.error("expected integer")
         self.pos += 1
@@ -185,22 +179,23 @@ class Parser:
                              line, col) from None
 
     def parse_script(self) -> Script:
-        if self.peek()[0] == "EOF":
+        if self.tokens[self.pos][0] == "EOF":
             raise self.error("empty script")
         statements = []
-        while self.peek()[0] != "EOF":
+        while self.tokens[self.pos][0] != "EOF":
             statements.append(self.parse_statement())
         return Script(tuple(statements))
 
     def parse_statement(self):
-        kind, value, _, _ = self.peek()
+        kind, value, _, _ = self.tokens[self.pos]
         if kind != "IDENT":
             raise self.error("expected a statement")
-        if value == "ring":
+        if self.accept("ring"):
             return self.parse_ring()
         if value in _COMMANDS:
             return self.parse_command()
-        if self.peek(1)[:2] == ("SYM", "="):
+        # EOF follows every IDENT, so the token after this one exists
+        if self.tokens[self.pos + 1][1] == "=":
             return self.parse_binding()
         raise self.error("expected 'ring', a command, or an ideal binding")
 
@@ -212,27 +207,22 @@ class Parser:
         return tuple(items)
 
     def parse_ring(self) -> RingDecl:
-        self.pos += 1
         return RingDecl(self.parse_list(",", partial(self.expect_ident, "variable name")))
 
     def parse_binding(self) -> Binding:
-        # parse_statement has seen the name and its "="
-        _, value, line, col = self.peek()
-        self.pos += 2
-        return Binding(Name(value, line, col), self.parse_ideal())
+        name = self.expect_ident()
+        self.pos += 1  # the "=" that parse_statement has seen
+        return Binding(name, self.parse_ideal())
 
     def parse_ideal(self) -> IdealExpr:
-        if self.peek()[:2] == ("INT", "0"):
-            self.pos += 1
+        if self.accept("0"):
             return IdealExpr(())
         return IdealExpr(self.parse_list(",", self.parse_monomial))
 
     def parse_monomial(self) -> tuple[tuple[Name, int], ...]:
-        kind, value, _, _ = self.peek()
-        if kind == "INT":
-            if value == "1":
-                self.pos += 1
-                return ()
+        if self.accept("1"):
+            return ()
+        if self.tokens[self.pos][0] == "INT":
             raise self.error("only the literals 0 and 1 are allowed in ideals")
         return self.parse_list("*", self.parse_factor)
 
@@ -254,9 +244,8 @@ class Parser:
         return Ordinal.from_coeffs(self.parse_list("+", self.parse_ordinal_term))
 
     def parse_ordinal_term(self) -> tuple[int, int]:
-        coeff = self.expect_int() if self.peek()[0] == "INT" else None
-        if self.peek()[:2] == ("IDENT", "w"):
-            self.pos += 1
+        coeff = self.expect_int() if self.tokens[self.pos][0] == "INT" else None
+        if self.accept("w"):
             exp = 1
             if self.accept("^"):
                 exp = self.expect_int()
@@ -266,7 +255,7 @@ class Parser:
         return (0, coeff)
 
     def parse_command(self) -> Command:
-        kind = self.peek()[1]
+        kind = self.tokens[self.pos][1]
         self.pos += 1
         refs, index, ordinal = [], None, None
         for arg in _COMMANDS[kind]:
@@ -368,7 +357,7 @@ class Runner:
     def exec_ring(self, stmt: RingDecl) -> None:
         if self.names is not None:
             raise SemanticError("ring already declared")
-        names = [n.text for n in stmt.names]
+        names = list(stmt.names)
         if len(set(names)) != len(names):
             raise SemanticError("duplicate variable name in ring declaration")
         if len(names) > self.max_vars:
@@ -389,22 +378,21 @@ class Runner:
         for mono in stmt.ideal.monomials:
             exps = [0] * n
             for var, exp in mono:
-                if var.text not in names:
+                if var not in names:
                     raise SemanticError(
-                        "undefined variable %r at line %d, column %d"
-                        % (var.text, var.line, var.col)
+                        "undefined variable %r at line %d, column %d" % (var, var.line, var.col)
                     )
-                exps[names.index(var.text)] += exp
+                exps[names.index(var)] += exp
             gens.append(tuple(exps))
-        self.ideals[stmt.name.text] = MonomialIdeal.make(n, gens)
+        self.ideals[stmt.name] = MonomialIdeal.make(n, gens)
         self.modules.clear()
 
     def lookup(self, name: Name) -> MonomialIdeal:
-        if name.text not in self.ideals:
+        if name not in self.ideals:
             raise SemanticError(
-                "undefined ideal %r at line %d, column %d" % (name.text, name.line, name.col)
+                "undefined ideal %r at line %d, column %d" % (name, name.line, name.col)
             )
-        return self.ideals[name.text]
+        return self.ideals[name]
 
     def resolve(self, ref: Ref) -> SubquotientModule:
         """The module J/I (or R/I) named by ref, checked I <= J and cached once per

@@ -16,7 +16,7 @@ import random
 from collections import namedtuple
 
 from .chow import PrimeSupport
-from .errors import NotArtinianError
+from .errors import AmbientMismatchError, NotArtinianError
 from .monomial import (
     Monomial,
     MonomialIdeal,
@@ -48,6 +48,8 @@ def oracle_lcl(m: SubquotientModule, p: PrimeSupport) -> int:
     past the top x_v-exponent of I it lies in the contracted I, so only
     the box below those exponents is scanned.
     """
+    if p.ambient_n != m.ambient_n:
+        raise AmbientMismatchError("prime over a different ring")
     low, up, big = m.lower, m.upper, _top(m)
     box = [_below_top(low, v) if v in p.vars else (big,) for v in range(m.ambient_n)]
     return sum(

@@ -208,7 +208,7 @@ def scalar_mul(n: int, a: Ordinal) -> Ordinal:
     _check_integers((n,), "scalar")
     if n < 0:
         raise ValueError("scalar must be a natural number")
-    return Ordinal.from_coeffs({e: n * c for e, c in a.terms})
+    return _ordinal(tuple([(e, n * c) for e, c in a.terms]) if n else ())
 
 
 def shuffle_difference(a: Ordinal, b: Ordinal) -> Ordinal:

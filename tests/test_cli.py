@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -227,6 +228,56 @@ def test_cli_outputs_are_pinned():
             digest.update(repr(run(text, **kw)).encode())
     assert digest.hexdigest() == (
         "d6faa97ee1bb0294247dde40bb0e062a0d6e11c74742f23c59e89d5d98ae6515"
+    )
+
+
+# a token of the script language, as far as an edit needs one
+_WORD = re.compile(r"[0-9]+|\w+|\S")
+
+
+def token_edits(text, rng, count=4):
+    """count copies of text, each with one token dropped, duplicated or
+    swapped with the next one; the rest of the text keeps its place."""
+    spans = [m.span() for m in _WORD.finditer(text)]
+    edits = []
+    for _ in range(count):
+        i = rng.randrange(len(spans) - 1)
+        (a, b), (c, d) = spans[i], spans[i + 1]
+        edits.append(rng.choice([
+            text[:a] + text[b:],
+            text[:b] + " " + text[a:],
+            text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:],
+        ]))
+    return edits
+
+
+def tree_with_positions(node):
+    """node as plain tuples, every Name as (text, line, col): Names compare as
+    text, so == on two syntax trees cannot see a moved position."""
+    if isinstance(node, cli.Name):
+        return (str(node), node.line, node.col)
+    if isinstance(node, Ordinal):
+        return ("Ordinal", node.terms)
+    if isinstance(node, tuple):
+        return (type(node).__name__,) + tuple(map(tree_with_positions, node))
+    return node
+
+
+def test_parse_trees_are_pinned():
+    # the syntax tree, or the parse error, of each chain_script of
+    # test_cli_outputs_are_pinned and of four seeded one-token edits of it
+    digest = hashlib.sha256()
+    for seed in range(300):
+        m, k = random_chain(seed, STRESS_PROFILE if seed % 10 == 9 else DEFAULT_PROFILE)
+        text = chain_script(m, k)
+        for edited in [text] + token_edits(text, random.Random(seed)):
+            try:
+                got = tree_with_positions(cli.parse(edited))
+            except cli.ParseError as exc:
+                got = str(exc)
+            digest.update(repr(got).encode())
+    assert digest.hexdigest() == (
+        "b647c79b5e48db7a0aeb3822456217754f389ce208355271e9afd7e395423d4e"
     )
 
 
@@ -514,16 +565,16 @@ def render_script(script):
     def mono_text(mono):
         if not mono:
             return "1"
-        return "*".join(n.text if e == 1 else "%s^%d" % (n.text, e) for n, e in mono)
+        return "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in mono)
 
     lines = []
     for stmt in script.statements:
         if isinstance(stmt, cli.RingDecl):
-            lines.append("ring %s" % ",".join(n.text for n in stmt.names))
+            lines.append("ring %s" % ",".join(stmt.names))
         elif isinstance(stmt, cli.Binding):
             monos = stmt.ideal.monomials
             body = ", ".join(mono_text(m) for m in monos) if monos else "0"
-            lines.append("%s = %s" % (stmt.name.text, body))
+            lines.append("%s = %s" % (stmt.name, body))
         else:
             words, refs = [stmt.kind], iter(stmt.refs)
             for arg in cli._COMMANDS[stmt.kind]:
@@ -562,7 +613,7 @@ class TestRoundTrip:
         back = clone(script)
         assert back == script
         for names in (script.statements[0].names, back.statements[0].names):
-            assert [(n.text, n.line, n.col) for n in names] == [("x", 2, 8), ("y", 2, 11)]
+            assert [(n, n.line, n.col) for n in names] == [("x", 2, 8), ("y", 2, 11)]
 
 
 class TestOrdinalParsing:

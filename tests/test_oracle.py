@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ordlen import invariants, monomial, oracle
 from ordlen.chow import PrimeSupport, prime
-from ordlen.errors import NotArtinianError
+from ordlen.errors import AmbientMismatchError, NotArtinianError
 from ordlen.invariants import basic_invariants, fundamental_cycle, length, local_multiplicity
 from ordlen.monomial import (
     Monomial,
@@ -55,6 +55,15 @@ class TestOracleLcl:
         # at the zero prime the multiplicity counts global components
         assert oracle_lcl(ring_mod(2), prime(2, [])) == 1
         assert oracle_lcl(M3, prime(3, [])) == 0
+
+    # R/(x^2, xy) in 2 variables against primes over 1 and 3 variables; both
+    # contain x, whose local multiplicity in R/(x^2, xy) is 1
+    @pytest.mark.parametrize("p", [PrimeSupport(1, (0,)), PrimeSupport(3, (0,))])
+    def test_rejects_a_prime_over_another_ring(self, p):
+        m = ring_mod(2, (2, 0), (1, 1))
+        for lcl in (oracle_lcl, local_multiplicity):
+            with pytest.raises(AmbientMismatchError, match="prime over a different ring"):
+                lcl(m, p)
 
     def test_matches_engine_on_example_family(self):
         mods = [

@@ -51,6 +51,7 @@ from ordlen.ordinal import (
     cantor_sum,
     leq,
     meet,
+    scalar_mul,
     shuffle_difference,
     shuffle_sum,
     truncate_above,
@@ -456,11 +457,13 @@ class TestCheckedOnce:
         a, b = Ordinal.from_coeffs({2: 1, 0: 3}), Ordinal.from_coeffs({2: 2, 1: 1, 0: 3})
         d = Cycle.from_terms(3, {prime(3, [0]): 2})
         e = Cycle.from_terms(3, {prime(3, [0]): 2, prime(3, [0, 1]): 1})  # cycle_sub cancels at (x)
+        twice, zero = Ordinal.from_coeffs({2: 4, 1: 2, 0: 6}), Ordinal()
         built = self.count_builds(monkeypatch, Ordinal, Cycle, PrimeSupport)
         for op in (cantor_sum, shuffle_sum, meet, weaker, leq, shuffle_difference):
             op(b, a)  # a is weaker than b, as shuffle_difference needs
         for op in (truncate_above, truncate_below):
             op(b, 1)
+        assert (scalar_mul(2, b), scalar_mul(0, b)) == (twice, zero)
         for op in (cycle_add, cycle_sub, cycle_leq):
             op(d, e)
         binord(d)
