@@ -21,6 +21,12 @@ def _check_ring_size(n: int) -> None:
         raise AmbientMismatchError("negative number of variables")
 
 
+def _check_ring(a, b, what: str) -> None:
+    """The engine's one test that two ideals, modules or cycles share their ring."""
+    if a.ambient_n != b.ambient_n:
+        raise AmbientMismatchError("%s over different rings" % what)
+
+
 class PrimeSupport(Value, namedtuple("PrimeSupport", "ambient_n vars key")):
     """The monomial prime (x_i : i in vars) of an n-variable polynomial ring;
     key, stored for sort_key(), follows from vars and is not an argument."""
@@ -123,8 +129,7 @@ def _cycle_of(n: int, terms: tuple[tuple[PrimeSupport, int], ...]) -> Cycle:
 
 def _merge(d: Cycle, e: Cycle, sign: int) -> Cycle:
     """d + sign * e by one pass over both term tuples in sort-key order."""
-    if d.ambient_n != e.ambient_n:
-        raise AmbientMismatchError("cycles over different rings")
+    _check_ring(d, e, "cycles")
     a, b = d.terms, e.terms
     if not b:
         return d
@@ -154,8 +159,7 @@ def cycle_sub(d: Cycle, e: Cycle) -> Cycle:
 
 def cycle_leq(d: Cycle, e: Cycle) -> bool:
     """Coefficient-wise comparison of cycles, over the union of their supports."""
-    if d.ambient_n != e.ambient_n:
-        raise AmbientMismatchError("cycles over different rings")
+    _check_ring(d, e, "cycles")
     ec = dict(e.terms)
     return all(c <= ec.pop(p, 0) for p, c in d.terms) and all(c >= 0 for c in ec.values())
 

@@ -16,13 +16,15 @@ Grammar (whitespace-insensitive, '#' comments):
 As an extension, the integer literal "1" is accepted as a monomial, so the
 unit ideal can be written explicitly.
 
-Exit codes: 0 success, 1 parse error, 2 semantic error, 3 resource cap.
+Exit codes: 0 success, 1 parse error, 2 semantic error, 3 resource cap, 141 stdout
+closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections import namedtuple
@@ -530,14 +532,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-vars must be at least 1")
     if args.mode == "run":
         try:
-            with open(args.script, encoding="utf-8") as handle:
+            with open(args.script, encoding="utf-8-sig") as handle:  # skips a leading BOM
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             sys.stderr.write("cannot read script: %s\n" % exc)
             return 2
     else:
         text = _eval_script(args, p_eval)
-    return run_text(text, as_json=args.json, ascii_only=args.ascii, max_vars=args.max_vars)
+    try:
+        return run_text(text, as_json=args.json, ascii_only=args.ascii, max_vars=args.max_vars)
+    except BrokenPipeError:  # stdout's reader has gone, as `head` does after its lines
+        # devnull keeps the exit flush quiet (the signal docs' recipe); 141 = 128 + SIGPIPE,
+        # the status a shell reports for `cat` in the same pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

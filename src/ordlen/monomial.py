@@ -15,7 +15,7 @@ from collections.abc import Collection, Iterable
 from functools import partial, reduce
 from operator import add, le, mul, neg
 
-from .chow import PrimeSupport, _check_ring_size, _prime
+from .chow import PrimeSupport, _check_ring, _check_ring_size, _prime
 from .errors import AmbientMismatchError, InvalidSubquotientError
 from .ordinal import Value, _check_integers
 
@@ -51,7 +51,7 @@ class Monomial(tuple):
     def times(self, other: tuple[int, ...]) -> Monomial:
         if len(other) != len(self):
             raise AmbientMismatchError("monomial in wrong ring")
-        return Monomial(map(add, self, Monomial(other)))
+        return tuple.__new__(Monomial, map(add, self, Monomial(other)))  # a sum of checked exponents
 
     def sort_key(self) -> tuple:
         # degree-lexicographic with x_0 > x_1 > ..., the deterministic
@@ -141,7 +141,7 @@ class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):
         return _divides(self.gens, Monomial(m))  # Monomial checks the exponents
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
-        _check_ring(self, other)
+        _check_ring(self, other, "ideals")
         return all(_divides(self.gens, h) for h in other.gens)
 
 
@@ -171,23 +171,18 @@ def maximal_ideal(n: int) -> MonomialIdeal:
     return prime_ideal(_prime(n, frozenset(range(n))))
 
 
-def _check_ring(i: MonomialIdeal, j: MonomialIdeal) -> None:
-    if i.ambient_n != j.ambient_n:
-        raise AmbientMismatchError("ideals over different rings")
-
-
 def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    _check_ring(i, j)
+    _check_ring(i, j, "ideals")
     return _ideal(i.ambient_n, _minimize(i.gens + j.gens))
 
 
 def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    _check_ring(i, j)
+    _check_ring(i, j, "ideals")
     return _ideal(i.ambient_n, _intersect(i.gens, j.gens))
 
 
 def ideal_product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    _check_ring(i, j)
+    _check_ring(i, j, "ideals")
     return _ideal(i.ambient_n, _product(i.gens, j.gens, ()))
 
 
@@ -204,7 +199,7 @@ def ideal_power(i: MonomialIdeal, n: int) -> MonomialIdeal:
 def colon(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     """(i : j), the intersection of (i : g) over the generators g of j;
     the colon by the zero ideal is the unit ideal."""
-    _check_ring(i, j)
+    _check_ring(i, j, "ideals")
     steps = ([tuple(max(a - b, 0) for a, b in zip(f, g)) for f in i.gens] for g in j.gens)
     return _ideal(i.ambient_n, _meet(steps, i.ambient_n))
 
@@ -213,7 +208,7 @@ def saturation(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     """(i : j^infinity), the intersection of (i : g^infinity) over the
     generators g of j, each being i with the exponents on supp(g) set to 0;
     the saturation by the zero ideal is the unit ideal."""
-    _check_ring(i, j)
+    _check_ring(i, j, "ideals")
     steps = (_saturate(i.gens, i.ambient_n, g.support) for g in j.gens)
     return _ideal(i.ambient_n, _meet(steps, i.ambient_n))
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import ordinal as ord_
-from .errors import AmbientMismatchError, OrdlenError, ResourceCapError, ZeroModuleError
+from .chow import _check_ring
+from .errors import OrdlenError, ResourceCapError, ZeroModuleError
 from .invariants import (
     associated_primes,
     basic_invariants,
@@ -96,15 +97,10 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     raise ResourceCapError("no e-open power of the ideal found up to the cap %d" % cap)
 
 
-def _check_modules(m: SubquotientModule, n: SubquotientModule) -> None:
-    if m.ambient_n != n.ambient_n:
-        raise AmbientMismatchError("modules over different rings")
-
-
 def hom_vanishes(m: SubquotientModule, n: SubquotientModule) -> bool:
     """Sufficient vanishing criterion: dim(M) < ord(N) forces Hom(M, N) = 0
     (checked by tests/test_maps.py::test_image_is_zero_where_hom_vanishes)."""
-    _check_modules(m, n)
+    _check_ring(m, n, "modules")
     if m.is_zero or n.is_zero:
         raise ZeroModuleError("hom vanishing criterion needs nonzero modules")
     return basic_invariants(m).dimension < basic_invariants(n).order
@@ -113,8 +109,7 @@ def hom_vanishes(m: SubquotientModule, n: SubquotientModule) -> bool:
 def predicts_open_kernel(m: SubquotientModule, n: SubquotientModule) -> bool:
     """True iff M and N share no associated prime; then every kernel of a map M -> N
     is open (checked by tests/test_maps.py::test_kernel_is_open_where_predicted)."""
-    _check_modules(m, n)
-    return not (associated_primes(m) & associated_primes(n))
+    return max_common_ass_dimension(m, n) < 0
 
 
 def kernel_chain_bound(n: SubquotientModule) -> int:
@@ -127,6 +122,6 @@ def kernel_chain_bound(n: SubquotientModule) -> int:
 
 def max_common_ass_dimension(m: SubquotientModule, n: SubquotientModule) -> int:
     """Largest dimension of a common associated prime; -1 when there is none."""
-    _check_modules(m, n)
+    _check_ring(m, n, "modules")
     common = associated_primes(m) & associated_primes(n)
     return max((p.dim for p in common), default=-1)

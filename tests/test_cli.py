@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import console_cases
 from ordlen import cli, topology
 from ordlen.errors import SubmoduleSearchError
 from ordlen.invariants import length
@@ -731,18 +732,18 @@ class TestMain:
 class TestProcess:
     """`python -m ordlen.cli` started as a process of its own."""
 
-    def python(self, *args):
+    @staticmethod
+    def env():
         # pyproject's pythonpath setting reaches only the pytest process
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8")
+        return dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8")
+
+    def python(self, *args):
         return subprocess.run(
             [sys.executable, *args],
-            capture_output=True, encoding="utf-8", env=env, timeout=60,
+            capture_output=True, encoding="utf-8", env=self.env(), timeout=60,
         )
-
-    def cli(self, *args):
-        return self.python("-m", "ordlen.cli", *args)
 
     def test_start_up_loads_neither_dataclasses_nor_inspect(self):
         probe = "import sys, ordlen.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
@@ -754,13 +755,17 @@ class TestProcess:
         done = self.python("-S", "-c", "import sys, ordlen.cli; print('typing' in sys.modules)")
         assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
-    def test_eval_exits_0(self):
-        done = self.cli("eval", "--ring", "x,y,z", "--ideal", "x^2, x*y", "--cmd", "len")
-        assert (done.returncode, done.stdout, done.stderr) == (0, "len R/I = ω^2 + ω\n", "")
+    @pytest.mark.parametrize("case", console_cases.CASES, ids=lambda case: case.name)
+    def test_console_case(self, case):
+        got = console_cases.run_case(case, [sys.executable, "-m", "ordlen.cli"], self.env())
+        assert got == console_cases.expected(case)
 
-    def test_run_of_a_parse_error_exits_1(self, tmp_path):
+    def test_closed_stdout_exits_141(self, tmp_path):
+        # 20,000 lines fill the pipe, so the run is still writing when its reader goes
         path = tmp_path / "script.ord"
-        path.write_text("ring x,y\nI = x^\nlen I\n", encoding="utf-8")
-        done = self.cli("run", str(path))
-        message = "parse error at line 3, column 1: expected integer (found 'len')\n"
-        assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+        path.write_text("ring x,y\nI = x^2, x*y\n" + "len I\n" * 20000, encoding="utf-8")
+        command = [sys.executable, "-m", "ordlen.cli", "run", str(path)]
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env()) as done:
+            assert done.stdout.readline() == "len R/I = ω + 1\n".encode()
+            done.stdout.close()
+            assert (done.wait(timeout=60), done.stderr.read()) == (141, b"")

@@ -453,6 +453,12 @@ class TestCheckedOnce:
         find_e_open_power(M3)
         assert built == []
 
+    def test_times_checks_only_its_operand(self, monkeypatch):
+        a = Monomial((1, 0, 2))
+        built = self.count_builds(monkeypatch, Monomial)
+        product = a.times((0, 3, 1))
+        assert (type(product), product, len(built)) == (Monomial, (1, 3, 3), 1)
+
     def test_arithmetic_skips_the_value_constructors(self, monkeypatch):
         a, b = Ordinal.from_coeffs({2: 1, 0: 3}), Ordinal.from_coeffs({2: 2, 1: 1, 0: 3})
         d = Cycle.from_terms(3, {prime(3, [0]): 2})
