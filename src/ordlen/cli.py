@@ -16,13 +16,14 @@ Grammar (whitespace-insensitive, '#' comments):
 As an extension, the integer literal "1" is accepted as a monomial, so the
 unit ideal can be written explicitly.
 
-Exit codes: 0 success, 1 parse error, 2 semantic error, 3 resource cap, 141 stdout
-closed by its reader.
+Exit codes: 0 success, 1 parse error, 2 semantic error or stdout closed at start-up,
+3 resource cap, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -530,17 +531,24 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.max_vars < 1:
         parser.error("--max-vars must be at least 1")
+    # Python sets a stream to None when its descriptor is closed at start-up; a closed
+    # stderr keeps the exit code of an error, whose message goes nowhere
+    err = sys.stderr or io.StringIO()
+    if sys.stdout is None:
+        err.write("cannot write output: stdout is closed\n")
+        return 2
     if args.mode == "run":
         try:
             with open(args.script, encoding="utf-8-sig") as handle:  # skips a leading BOM
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
-            sys.stderr.write("cannot read script: %s\n" % exc)
+            err.write("cannot read script: %s\n" % exc)
             return 2
     else:
         text = _eval_script(args, p_eval)
     try:
-        return run_text(text, as_json=args.json, ascii_only=args.ascii, max_vars=args.max_vars)
+        return run_text(text, as_json=args.json, ascii_only=args.ascii, err=err,
+                        max_vars=args.max_vars)
     except BrokenPipeError:  # stdout's reader has gone, as `head` does after its lines
         # devnull keeps the exit flush quiet (the signal docs' recipe); 141 = 128 + SIGPIPE,
         # the status a shell reports for `cat` in the same pipe

@@ -11,7 +11,6 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
-from math import prod
 
 from . import ordinal as ord_
 from .chow import Cycle, PrimeSupport, _cycle_of, _prime, binord, cycle_add, cycle_sub
@@ -49,8 +48,21 @@ def _slices(gens: tuple, v: int, cuts: list[int]) -> list[tuple]:
     return out
 
 
-# No benchmark pass stores over 1,903 entries, but one len of fixed-degree (10, 200, 12)
-# makes 20,165: ru_maxrss grows by 49.1 MB unbounded, by 11.2 MB at this bound.
+def _box(n: int, gens: tuple) -> tuple | None:
+    """The one term (x_i : i in S), prod a_i of J/I for J = (1) and I = (x_i^a_i : i in S),
+    or None when a generator is not a pure power (see _cycle)."""
+    s, c = [], 1
+    for g in gens:
+        if g.count(0) != n - 1:
+            return None
+        a = max(g)
+        s.append(g.index(a))
+        c *= a
+    return _prime(n, frozenset(s)), c
+
+
+# No benchmark pass stores over 1,899 entries, but one len of fixed-degree (10, 200, 12)
+# makes 20,160: ru_maxrss grows by 47.9 MB unbounded, by 11.1 MB at this bound.
 _CYCLE_MEMO = 4096
 
 
@@ -79,36 +91,48 @@ def _cycle(n: int, lower: tuple, upper: tuple) -> Cycle:
     drops the old generators that a new one divides: no full minimisation.
 
     Base cases: J inside I (no pairs), I = 0 (one pair), and J = (1) with
-    I = (x_i^a_i : i in S), one box of prod a_i pairs at (x_i : i in S).
-    Shortcuts: J = (1) is not sliced (each meet is I_top); I_top = (1) has no
-    top pairs (each meet is J_k); the sweep stops at the first slice equal to
-    I_top (later meets lie in I_k); weights add up by variable set.
+    I = (x_i^a_i : i in S), one box of prod a_i pairs at (x_i : i in S)
+    (_box); a box slice in the sweep is counted in place, without a call.
+    Shortcuts: J = (1) is not sliced (each meet is I_top), and J inside I is
+    I = (1) there; I_top = (1) has no top pairs (each meet is J_k); the sweep
+    stops at the first slice equal to I_top (later meets lie in I_k).  The
+    meet is carried along the sweep: J_k only grows, and intersection
+    distributes over sums of monomial ideals, so J_k cap I_top is the last
+    meet plus (the generators new in J_k) cap I_top, and the last meet
+    itself while _slices hands back the same J_k.  Weights add up by
+    variable set.
     """
-    if all(_divides(lower, h) for h in upper):
+    one = ((0,) * n,)
+    unit = upper == one
+    if lower == one if unit else all(_divides(lower, h) for h in upper):
         return _cycle_of(n, ())
     if not lower:
         # the single standard pair (1, vars) of the zero ideal
         return _cycle_of(n, ((_prime(n, frozenset()), 1),))
-    one = ((0,) * n,)
-    if upper == one and all(g.count(0) == n - 1 for g in lower):
-        s = frozenset(i for g in lower for i, e in enumerate(g) if e)
-        return _cycle_of(n, ((_prime(n, s), prod(map(sum, lower))),))
-    v = next(j for j in range(n - 1, -1, -1) if any(g[j] for g in lower))
+    box = unit and _box(n, lower)
+    if box:
+        return _cycle_of(n, (box,))
+    v = bytes(map(any, zip(*lower))).rindex(1)  # the last variable I involves
     cuts = sorted({0} | {g[v] for g in lower + upper})
     lows = _slices(lower, v, cuts)
-    ups = [one] * len(cuts) if upper == one else _slices(upper, v, cuts)
+    ups = [one] * len(cuts) if unit else _slices(upper, v, cuts)
     top = lows[-1]
     free = () if top == one else _cycle(n, top, ups[-1]).terms
     acc: dict[frozenset[int], int] = {}
+    last = meet = ()
     for k, nxt, low, up in zip(cuts, cuts[1:], lows, ups):
         if low == top:
             break
-        meet = top if up == one else up if top == one else _intersect(up, top)
-        for p, c in _cycle(n, low, meet).terms:
+        if up is not last:
+            meet = top if up == one else up if top == one else _minimize(
+                meet + _intersect(set(up).difference(last), top))
+            last = up
+        box = meet == one and _box(n, low)
+        for p, c in (box,) if box else _cycle(n, low, meet).terms:
             s = p.vars | {v}
             acc[s] = acc.get(s, 0) + (nxt - k) * c
     terms = (*free, *((_prime(n, s), c) for s, c in acc.items()))
-    return _cycle_of(n, tuple(sorted(terms, key=lambda t: t[0].key)))
+    return _cycle_of(n, tuple(sorted(terms, key=lambda t: t[0].key)) if terms[1:] else terms)
 
 
 def fundamental_cycle(m: SubquotientModule) -> Cycle:

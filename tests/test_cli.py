@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -759,6 +760,23 @@ class TestProcess:
     def test_console_case(self, case):
         got = console_cases.run_case(case, [sys.executable, "-m", "ordlen.cli"], self.env())
         assert got == console_cases.expected(case)
+
+    def closed(self, fd, *args):
+        """python -m ordlen.cli with descriptor fd (1 or 2) closed at start-up."""
+        return subprocess.run(
+            [sys.executable, "-m", "ordlen.cli", *args], capture_output=True, encoding="utf-8",
+            env=self.env(), timeout=60, preexec_fn=partial(os.close, fd),
+        )
+
+    def test_stdout_closed_at_start_up_exits_2(self):
+        done = self.closed(1, "eval", "--ring", "x,y", "--ideal", "x^2, x*y", "--cmd", "len")
+        assert (done.returncode, done.stderr) == (2, "cannot write output: stdout is closed\n")
+
+    def test_stderr_closed_at_start_up_keeps_the_exit_code(self, tmp_path):
+        path = tmp_path / "script.ord"
+        path.write_text("ring x\nlen J\n", encoding="utf-8")
+        done = self.closed(2, "run", str(path))
+        assert (done.returncode, done.stdout) == (2, "")
 
     def test_closed_stdout_exits_141(self, tmp_path):
         # 20,000 lines fill the pipe, so the run is still writing when its reader goes

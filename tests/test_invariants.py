@@ -3,7 +3,9 @@ import io
 import itertools
 import random
 import re
+from functools import lru_cache
 from heapq import heappop, heappush
+from math import prod
 from operator import le, neg
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ordlen import invariants
-from ordlen.chow import Cycle, PrimeSupport, prime, zero_cycle
+from ordlen.chow import Cycle, PrimeSupport, _cycle_of, _prime, prime, zero_cycle
 from ordlen.cli import run_text
 from ordlen.errors import (
     AmbientMismatchError,
@@ -39,6 +41,9 @@ from ordlen.monomial import (
     Monomial,
     MonomialIdeal,
     SubquotientModule,
+    _divides,
+    _intersect,
+    _minimize,
     colon,
     ideal_intersection,
     ideal_sum,
@@ -56,6 +61,7 @@ from ordlen.oracle import (
     random_chain,
 )
 from ordlen.ordinal import ZERO, Ordinal, OrdinalClass, shuffle_sum, truncate_below, weaker
+from test_oracle import modules, subquotient
 
 
 def ideal(n, *exps):
@@ -887,10 +893,84 @@ def test_pure_powers_are_not_sliced(monkeypatch):
 
 def test_trivial_slices_and_meets_are_skipped(monkeypatch):
     # in the structured row R/(x_1^2, ..., x_7^2, x_1...x_7) J = (1) is never
-    # sliced, and each meet J_k cap I_top has a unit side: no _intersect call
+    # sliced, and each meet J_k cap I_top has a unit side: no _intersect call;
+    # the box slice of each row is counted in place, so the rows of 7 down to
+    # 2 variables make one memo miss each (13 when boxes went through the memo)
     calls = counting(monkeypatch, "_slices", "_intersect")
     invariants._cycle.cache_clear()
     row = [tuple(2 if j == i else 0 for j in range(7)) for i in range(7)]
     assert length(ring_mod(7, *row, (1,) * 7)) == Ordinal.from_int(2**7 - 1)
     assert calls.count("_slices") <= 6
     assert calls.count("_intersect") == 0
+    assert invariants._cycle.cache_info().misses == 6
+
+
+def test_an_unchanged_slice_keeps_its_meet(monkeypatch):
+    # (x)/(x^5, x^4y, ..., xy^4), sliced on y: J_k = (x) at every cut and
+    # I_top = (x), so the first cut's meet serves every later cut, and the
+    # slices' own recursions meet nothing (their I_top is (1))
+    calls = counting(monkeypatch, "_intersect")
+    invariants._cycle.cache_clear()
+    m = SubquotientModule(ideal(2, *[(5 - k, k) for k in range(5)]), ideal(2, (1, 0)))
+    assert fundamental_cycle(m) == Cycle.from_terms(2, {prime(2, [0, 1]): 10})
+    assert calls == ["_intersect"]
+
+
+@lru_cache(maxsize=invariants._CYCLE_MEMO)
+def reference_cycle(n, lower, upper):
+    """invariants._cycle without its in-place boxes, its J = (1) fast paths
+    and its carried meet: every slice through the memo, every meet J_k cap
+    I_top from scratch, the last variable of I found one variable at a time."""
+    if all(_divides(lower, h) for h in upper):
+        return _cycle_of(n, ())
+    if not lower:
+        return _cycle_of(n, ((_prime(n, frozenset()), 1),))
+    one = ((0,) * n,)
+    if upper == one and all(g.count(0) == n - 1 for g in lower):
+        s = frozenset(i for g in lower for i, e in enumerate(g) if e)
+        return _cycle_of(n, ((_prime(n, s), prod(map(sum, lower))),))
+    v = next(j for j in range(n - 1, -1, -1) if any(g[j] for g in lower))
+    cuts = sorted({0} | {g[v] for g in lower + upper})
+    lows = _slices(lower, v, cuts)
+    ups = [one] * len(cuts) if upper == one else _slices(upper, v, cuts)
+    top = lows[-1]
+    free = () if top == one else reference_cycle(n, top, ups[-1]).terms
+    acc = {}
+    for k, nxt, low, up in zip(cuts, cuts[1:], lows, ups):
+        if low == top:
+            break
+        meet = top if up == one else up if top == one else _intersect(up, top)
+        for p, c in reference_cycle(n, low, meet).terms:
+            s = p.vars | {v}
+            acc[s] = acc.get(s, 0) + (nxt - k) * c
+    terms = (*free, *((_prime(n, s), c) for s, c in acc.items()))
+    return _cycle_of(n, tuple(sorted(terms, key=lambda t: t[0].key)))
+
+
+def same_cycles(m):
+    """_cycle and reference_cycle, both memos cleared, give equal terms in equal order."""
+    invariants._cycle.cache_clear()
+    reference_cycle.cache_clear()
+    args = (m.ambient_n, m.lower.gens, m.upper.gens)
+    return invariants._cycle(*args) == reference_cycle(*args)
+
+
+@given(modules)
+@example((2, [(5, 0), (4, 1), (3, 2), (2, 3), (1, 4)], [(1, 0)], (0, 0), False))
+def test_cycle_is_the_reference_cycle(spec):
+    assert same_cycles(subquotient(*spec))
+
+
+def test_wide_cycles_are_the_reference_cycles(monkeypatch):
+    # and every subproblem's antichains, the carried meets among them, are as
+    # _minimize leaves them, so that equal ideals share one memo entry
+    engine = invariants._cycle
+
+    def canonical(n, lower, upper):
+        assert lower == _minimize(lower) and upper == _minimize(upper), (lower, upper)
+        return engine(n, lower, upper)
+
+    canonical.cache_clear = engine.cache_clear
+    monkeypatch.setattr(invariants, "_cycle", canonical)
+    for shape in [(4, 30, 8), (6, 80, 10), (8, 60, 10)]:
+        assert same_cycles(SubquotientModule.quotient_ring(fixed_degree(*shape))), shape
