@@ -23,7 +23,6 @@ Exit codes: 0 success, 1 parse error, 2 semantic error or stdout closed at start
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import re
@@ -506,6 +505,21 @@ def _eval_script(args: argparse.Namespace, parser: argparse.ArgumentParser) -> s
     return text
 
 
+class _Stderr:
+    """sys.stderr for main's error lines.  A line stderr cannot take is dropped, so
+    the exit code stays that of the error: Python sets sys.stderr to None when
+    descriptor 2 is closed at start-up, and a write raises OSError when 2 is open
+    but not writable (`2</dev/null`) or its reader has gone."""
+
+    @staticmethod
+    def write(text: str) -> None:
+        if sys.stderr is not None:
+            try:
+                sys.stderr.write(text)
+            except OSError:
+                pass
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="ordlen", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -531,10 +545,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.max_vars < 1:
         parser.error("--max-vars must be at least 1")
-    # Python sets a stream to None when its descriptor is closed at start-up; a closed
-    # stderr keeps the exit code of an error, whose message goes nowhere
-    err = sys.stderr or io.StringIO()
-    if sys.stdout is None:
+    err = _Stderr()
+    if sys.stdout is None:  # descriptor 1 closed at start-up
         err.write("cannot write output: stdout is closed\n")
         return 2
     if args.mode == "run":

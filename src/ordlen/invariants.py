@@ -203,7 +203,10 @@ def _filtration(m: SubquotientModule) -> Iterator[MonomialIdeal]:
         for p in ass:
             if p.dim == i:
                 sat = _meet((_saturate(sat, n, (v,)) for v in p.vars), n)
-        yield m.lower if sat is m.lower.gens else _ideal(n, _intersect(sat, m.upper.gens))
+        if sat is m.lower.gens:
+            yield m.lower
+        else:  # K_i is the saturation itself when J = (1)
+            yield _ideal(n, sat if m.upper.is_unit else _intersect(sat, m.upper.gens))
     yield m.upper
 
 
@@ -244,12 +247,16 @@ def _socle(kg: tuple, j: tuple, p: PrimeSupport) -> tuple:
     i in p).  lcm(e, g - e_i) is a multiple of g, so in K, exactly when
     e_i >= g_i: those pairs are skipped.  Dropping members of K at any
     stage loses nothing: each y outside K in J cap D_i1 cap ... lies over
-    an lcm of members below y, all outside K.
+    an lcm of members below y, all outside K.  A pass that starts from (1)
+    is the minimised D_i generators alone, as lcm(1, h) = h.
     """
     out = j
     for i in p.vars:
         lowered = [g[:i] + (g[i] - 1,) + g[i + 1 :] for g in kg if g[i]]
-        out = _minimize(tuple(map(max, e, h)) for h in lowered for e in out if e[i] <= h[i])
+        if out and not any(out[0]):  # out = (1)
+            out = _minimize(lowered)
+        else:
+            out = _minimize(tuple(map(max, e, h)) for h in lowered for e in out if e[i] <= h[i])
     return out
 
 
@@ -288,6 +295,10 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
     B_p test also drops _socle's members in K.  No exponent of K passes the
     degree bound, as none of I's does and sum(x) <= bound for each adjoined x,
     so x is in B_p iff lcm(x, x_S^bound) is in K.
+
+    Shortcuts: with J = (1), J cap C_p is C_p and no intersection is made;
+    each prime's scan stops at its first witness, and a step over one
+    prime takes that witness without comparing.
     """
     fc = fundamental_cycle(m)
     mu = binord(fc)
@@ -295,20 +306,22 @@ def construct_submodule_of_length(m: SubquotientModule, nu: Ordinal) -> Monomial
         raise InvalidSubquotientError("target length is not weaker than the module length")
     bound = max(m.lower.max_degree, m.upper.max_degree) + mu.valence
     n, low, up = m.ambient_n, m.lower.gens, m.upper.gens
-    kg = list(low)
+    kg, unit = list(low), m.upper.is_unit
     for t, (exp, coeff) in enumerate(nu.terms):
-        parts = [(p, _intersect(up, _pair_part(low, p, n)),
+        parts = [(p, cp if unit else _intersect(up, cp),
                   tuple(0 if v in p.vars else bound for v in range(n)))
-                 for p, _ in fc.terms if p.dim == exp]
+                 for p, _ in fc.terms if p.dim == exp for cp in [_pair_part(low, p, n)]]
         for step in range(1, coeff + 1):
             found = []
             for p, jc, top in parts:
-                found += islice((x for x in _socle(kg, jc, p) if sum(x) <= bound
-                                 and not _divides(kg, tuple(map(max, x, top)))), 1)
+                for x in _socle(kg, jc, p):
+                    if sum(x) <= bound and not _divides(kg, tuple(map(max, x, top))):
+                        found.append(x)
+                        break
             if not found:
                 msg = "no monomial submodule of length %s found within degree %d (module %r)"
                 raise SubmoduleSearchError(msg % (_ordinal(nu.terms[:t] + ((exp, step),)), bound, m))
             # x is outside B_p, which holds K: K gains x and loses the generators x divides
-            x = min(found, key=Monomial.sort_key)
+            x = min(found, key=Monomial.sort_key) if found[1:] else found[0]
             kg = [g for g in kg if not _divides((x,), g)] + [x]
     return _ideal(n, _minimize(kg))

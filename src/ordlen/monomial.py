@@ -74,8 +74,11 @@ def _divides(gens: Iterable[tuple[int, ...]], m: tuple[int, ...]) -> bool:
 
 def _minimize(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     # Monomial.sort_key order: by degree, ties lexicographically decreasing
+    distinct = set(exps)
+    if len(distinct) < 2:
+        return tuple(distinct)
     kept: list[tuple[int, ...]] = []
-    for e in sorted(sorted(set(exps), reverse=True), key=sum):
+    for e in sorted(sorted(distinct, reverse=True), key=sum):
         if not _divides(kept, e):
             kept.append(e)
     return tuple(kept)
@@ -103,8 +106,11 @@ def _saturate(gens: Iterable[tuple], n: int, vars: Collection[int]) -> list[tupl
 
 def _meet(antichains: Iterable[Iterable[tuple]], n: int) -> tuple[tuple[int, ...], ...]:
     """The minimal antichain of the intersection of the ideals the given
-    antichains generate; the unit ideal's when there are none."""
-    return reduce(_intersect, map(_minimize, antichains), ((0,) * n,))
+    antichains generate; the unit ideal's when there are none.  A factor
+    holding the tuple 1 is the unit ideal and leaves the meet as it is, so
+    it is skipped, and the meet starts from the first other factor."""
+    one = (0,) * n
+    return reduce(_intersect, [_minimize(f) for f in antichains if one not in f] or [(one,)])
 
 
 class MonomialIdeal(Value, namedtuple("MonomialIdeal", "ambient_n gens")):

@@ -16,6 +16,7 @@ from .invariants import (
     associated_primes,
     basic_invariants,
     dimension_filtration,
+    fundamental_cycle,
     length,
 )
 from .monomial import (
@@ -79,7 +80,9 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     which is K_e of the dimension filtration, as e is the order of R/I: iff
     every lcm of a generator of a^n and one of L lies in I.
     Artin-Rees guarantees some power works but gives no effective bound;
-    the cap converts non-termination risk into a reported error.
+    the cap converts non-termination risk into a reported error.  e is read
+    from the last term of the fundamental cycle, whose terms run by
+    decreasing dimension, without a basic_invariants record.
     """
     ord_._check_integers((cap,), "power cap")
     if cap < 1:
@@ -87,8 +90,11 @@ def find_e_open_power(r_mod: SubquotientModule, cap: int = DEFAULT_POWER_CAP) ->
     if not r_mod.upper.is_unit:
         raise OrdlenError("e-open power search expects a quotient ring R/I")
     n_vars, low, power = r_mod.ambient_n, r_mod.lower.gens, r_mod.upper.gens  # a^0 = J = R
-    e = basic_invariants(r_mod).order  # ZeroModuleError for the zero module
-    a = _meet((prime_ideal(p).gens for p in associated_primes(r_mod) if p.dim == e), n_vars)
+    terms = fundamental_cycle(r_mod).terms
+    if not terms:
+        raise ZeroModuleError("order and dimension are undefined for the zero module")
+    e = terms[-1][0].dim
+    a = _meet((prime_ideal(p).gens for p, _ in terms if p.dim == e), n_vars)
     sat = dimension_filtration(r_mod, e).upper.gens
     for n in range(1, cap + 1):
         power = _product(power, a, low)

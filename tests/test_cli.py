@@ -778,6 +778,20 @@ class TestProcess:
         done = self.closed(2, "run", str(path))
         assert (done.returncode, done.stdout) == (2, "")
 
+    @pytest.mark.parametrize("script, code", [("ring x\nlen J\n", 2), ("ring x\nlen (\n", 1)],
+                             ids=["semantic_error", "parse_error"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, script, code):
+        # descriptor 2 open for reading only, as `2</dev/null` leaves it: each write
+        # to stderr raises OSError, and the error's line is dropped, not its code
+        path = tmp_path / "script.ord"
+        path.write_text(script, encoding="utf-8")
+        with open(os.devnull, "rb") as stderr:
+            done = subprocess.run(
+                [sys.executable, "-m", "ordlen.cli", "run", str(path)], stdout=subprocess.PIPE,
+                stderr=stderr, encoding="utf-8", env=self.env(), timeout=60,
+            )
+        assert (done.returncode, done.stdout) == (code, "")
+
     def test_closed_stdout_exits_141(self, tmp_path):
         # 20,000 lines fill the pipe, so the run is still writing when its reader goes
         path = tmp_path / "script.ord"

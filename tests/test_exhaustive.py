@@ -4,8 +4,9 @@ A monomial ideal generated inside the box {0..b}^n is an antichain of that
 box under divisibility, and a module J/I is a nested pair I <= J of such
 ideals, so every small input can be listed (bounded-exhaustive testing;
 the small scope hypothesis).  Tier-1 checks the (2, 3) and (3, 1) boxes.
-Run as a script, with ordlen importable, it checks the (2, 4) and (3, 2)
-boxes and prints one line per box:
+Run as a script, with ordlen importable, it checks the fundamental cycle
+on the (2, 4) and (3, 2) boxes and both searches on the (2, 4) box, and
+prints one line per check and box:
 
     python tests/test_exhaustive.py
 """
@@ -16,13 +17,18 @@ import time
 import pytest
 
 from ordlen import invariants
-from ordlen.invariants import fundamental_cycle
+from ordlen.chow import Cycle, binord
+from ordlen.invariants import construct_submodule_of_length, fundamental_cycle, length
 from ordlen.monomial import MonomialIdeal, SubquotientModule
 from ordlen.oracle import oracle_lcl
+from ordlen.ordinal import Ordinal
+from ordlen.topology import DEFAULT_POWER_CAP
 from test_oracle import all_primes
+from test_topology import e_open_outcome, e_open_reference
 
 SMALL_BOXES = ((2, 3), (3, 1))
 LARGE_BOXES = ((2, 4), (3, 2))
+LARGE_SEARCH_BOXES = ((2, 4),)
 
 
 def divides(a, b):
@@ -75,9 +81,54 @@ def test_fundamental_cycle_is_the_oracle_on_every_module_of_a_box(box):
     assert check_cycles(*box) > 0
 
 
+def weaker_targets(mu):
+    """Every ordinal weaker than mu, zero included: each coefficient from 0 up to mu's."""
+    exps = [e for e, _ in mu.terms]
+    for coeffs in itertools.product(*(range(c + 1) for _, c in mu.terms)):
+        yield Ordinal.from_coeffs(zip(exps, coeffs))
+
+
+def check_searches(n, b):
+    """construct_submodule_of_length at every weaker target of every module of
+    the box: I <= K <= J, and binord of oracle_lcl over every prime of K/I is
+    the target; the number of targets searched."""
+    primes = list(all_primes(n))
+    count = 0
+    for m in box_modules(n, b)[1]:
+        for nu in weaker_targets(length(m)):
+            k = construct_submodule_of_length(m, nu)
+            assert k.contains_ideal(m.lower) and m.upper.contains_ideal(k), (m, nu, k)
+            sub = SubquotientModule(m.lower, k)
+            assert binord(Cycle.from_terms(n, {p: oracle_lcl(sub, p) for p in primes})) == nu, (m, nu, k)
+            count += 1
+    return count
+
+
+def check_e_open(n, b):
+    """find_e_open_power on every nonzero R/I of the box against e_open_reference,
+    the least n found by definition; the number of rings checked."""
+    rings = [SubquotientModule.quotient_ring(i) for i in box_modules(n, b)[0] if not i.is_unit]
+    for r_mod in rings:
+        assert e_open_outcome(r_mod, DEFAULT_POWER_CAP) == e_open_reference(r_mod, DEFAULT_POWER_CAP), r_mod
+    return len(rings)
+
+
+@pytest.mark.parametrize("box", SMALL_BOXES)
+def test_search_reaches_every_weaker_target_of_a_box(box):
+    assert check_searches(*box) > 0
+
+
+@pytest.mark.parametrize("box", SMALL_BOXES)
+def test_e_open_power_is_the_reference_on_every_ring_of_a_box(box):
+    assert check_e_open(*box) > 0
+
+
 if __name__ == "__main__":
-    for box in LARGE_BOXES:
-        start = time.perf_counter()
-        count = check_cycles(*box)
-        print("box %s: %d modules, cycle = oracle_lcl at every prime, %.1f s"
-              % (box, count, time.perf_counter() - start))
+    checks = [("cycle = oracle_lcl at every prime", "modules", check_cycles, LARGE_BOXES),
+              ("search witness = target by oracle_lcl", "targets", check_searches, LARGE_SEARCH_BOXES),
+              ("e-open power = reference", "rings", check_e_open, LARGE_SEARCH_BOXES)]
+    for what, unit, check, boxes in checks:
+        for box in boxes:
+            start = time.perf_counter()
+            count = check(*box)
+            print("box %s: %d %s, %s, %.1f s" % (box, count, unit, what, time.perf_counter() - start))

@@ -916,6 +916,17 @@ def test_an_unchanged_slice_keeps_its_meet(monkeypatch):
     assert calls == ["_intersect"]
 
 
+def test_search_in_a_quotient_ring_meets_nothing_with_j(monkeypatch):
+    # with J = (1), J cap C_p is C_p itself: the full-length search on
+    # R/(x^3, y^4, x^2 y^2) makes no _intersect call (three when each C_p was
+    # met with J), and its cycle comes from the memo
+    m = ring_mod(2, (3, 0), (0, 4), (2, 2))
+    mu = length(m)
+    calls = counting(monkeypatch, "_intersect")
+    assert construct_submodule_of_length(m, mu) == unit_ideal(2)
+    assert calls == []
+
+
 @lru_cache(maxsize=invariants._CYCLE_MEMO)
 def reference_cycle(n, lower, upper):
     """invariants._cycle without its in-place boxes, its J = (1) fast paths

@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 from operator import add
 
 import pytest
@@ -14,6 +15,7 @@ from ordlen.monomial import (
     SubquotientModule,
     _divides,
     _intersect,
+    _meet,
     _minimize,
     _saturate,
     colon,
@@ -50,6 +52,17 @@ tuple_list_pairs = st.integers(1, 3).flatmap(
 )
 generator_sets = st.integers(1, 3).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=8))
+)
+
+# lists of tuple lists: antichains or not, among them the unit ideal, with and
+# without other members, and the zero ideal
+factor_lists = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.one_of(
+        st.just([(0,) * n]),
+        st.just([]),
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4),
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=3).map(lambda f: f + [(0,) * n]),
+    ), max_size=4))
 )
 
 
@@ -94,6 +107,12 @@ class TestAgainstDefinitions:
         g = g + [(0,) * n] * unit_g
         lcms = _minimize(tuple(map(max, a, b)) for a in f for b in g)
         assert _intersect(f, g) == lcms == _intersect(g, f)
+
+    @given(factor_lists)
+    def test_meet_is_the_reduce_of_intersections_from_the_unit(self, case):
+        # the meet skips unit factors and starts from the first other one
+        n, factors = case
+        assert _meet(factors, n) == reduce(_intersect, map(_minimize, factors), ((0,) * n,))
 
     @given(generator_sets, st.sets(st.integers(0, 2)))
     def test_saturate_is_the_colon_by_a_high_power(self, case, vars):

@@ -4,6 +4,7 @@ from operator import add, le
 
 import pytest
 
+from ordlen import invariants, monomial, topology
 from ordlen.chow import (
     Cycle,
     PrimeSupport,
@@ -300,6 +301,28 @@ def test_power_step_matches_minimise_then_filter(chain_corpus):
             assert power == want
             steps += bool(power)
     assert steps > 500
+
+
+def test_e_open_search_skips_known_work(monkeypatch):
+    # R/(x^2, xy) in 3 variables: the order e is read from the last term of the
+    # cycle, with no basic_invariants record, and the meets skip their unit
+    # factors: at most 5 _minimize calls in all (10 with the record and the units)
+    r_mod = ring_mod(3, (2, 0, 0), (1, 1, 0))
+    want = EOpenPower(2, ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0)))
+    assert find_e_open_power(r_mod) == want  # and the cycle memo holds R/I
+    calls = []
+    for module in (monomial, invariants, topology):
+        for name in ("_minimize", "basic_invariants"):
+            if hasattr(module, name):
+
+                def counted(*args, kernel=getattr(module, name), name=name):
+                    calls.append(name)
+                    return kernel(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    assert find_e_open_power(r_mod) == want
+    assert "basic_invariants" not in calls
+    assert calls.count("_minimize") <= 5
 
 
 def golden_rings(profiles):
